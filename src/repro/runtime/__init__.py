@@ -19,6 +19,9 @@ execute.  Three interchangeable backends implement the
                         attach, vectors exchanged per round
 ======================  =============================================
 
+``"processes"`` and ``"sockets"`` are one fleet protocol
+(:mod:`repro.runtime.fleet`) over two transports.
+
 Select one by name (:func:`get_executor`), through the
 ``backend=`` option of :class:`repro.core.solver.MultisplittingSolver`,
 or by passing an instance to the ``executor=`` parameter of the core

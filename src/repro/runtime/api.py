@@ -101,8 +101,8 @@ def owned_rows_spec(csr, b, sets, solvers, owned, use_cache: bool) -> dict:
     (arbitrary index sets, not just contiguous bands) plus the index
     sets and kernels needed to rebuild the systems worker-side via
     :func:`repro.core.local.build_local_system` -- never the full
-    matrix.  The process backend extends this dict with its
-    shared-memory plane coordinates; the socket backend ships it as-is.
+    matrix.  :mod:`repro.runtime.fleet` pickles it once per owned set
+    and ships the bytes in every binding frame.
     """
     return {
         "bands": {l: csr[sets[l], :].tocsr() for l in owned},

@@ -223,7 +223,7 @@ def reassign_orphans(
     Returns the new owner for each orphaned block, assigning in block
     order against a running load count (so a burst of orphans spreads
     over the survivors instead of piling onto one).  ``candidates_for``
-    narrows the candidate ranks per block (the socket backend prefers
+    narrows the candidate ranks per block (the fleet backends prefer
     the dead worker's co-location group).  This single definition is
     what makes the recovery counters -- and the conformance suite's
     exact cross-backend asserts -- deterministic: real and emulated

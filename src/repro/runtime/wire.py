@@ -26,17 +26,11 @@ This module replaces that with out-of-band frames:
   rotation of preallocated ``bytearray`` slots, so steady-state rounds
   allocate nothing on the receive side either.
 
-``zero_copy=False`` reproduces the seed protocol inside the same
-self-describing framing (``nbuf == 0``, the ``FLAG_LEGACY`` bit set):
-one in-band pickle, sent as one concatenated blob and received through
-chunked accumulation -- byte-copy-for-byte-copy what the old
-``send_msg``/``recv_msg`` did, kept as the measurable baseline
-(``benchmarks/bench_wire.py``) and as a fallback.
-
 Framing errors -- truncated streams, oversized declared lengths,
-undecodable heads -- raise :class:`FrameError`, a ``ConnectionError``
-subclass, so the executors' existing broken-stream fault paths treat a
-garbage frame exactly like a dead peer.
+undecodable heads, the retired in-band flag -- raise
+:class:`FrameError`, a ``ConnectionError`` subclass, so the executors'
+existing broken-stream fault paths treat a garbage frame exactly like a
+dead peer.
 """
 
 from __future__ import annotations
@@ -74,7 +68,8 @@ _BUF_LEN = struct.Struct("!Q")
 #: frames).  Control frames (attach specs, stats) leave it clear -- their
 #: arrays stay referenced by the binding and must own their memory.
 FLAG_TRANSIENT = 0x01
-#: Flag bit: seed-protocol frame (one in-band pickle, copying IO).
+#: Flag bit of the retired seed protocol (one in-band pickle, copying
+#: IO).  Never sent; a received frame carrying it is rejected.
 FLAG_LEGACY = 0x02
 
 #: Hard frame limits: a corrupt or hostile length field must fail fast
@@ -137,7 +132,7 @@ class BufferPool:
 # ---------------------------------------------------------------------------
 
 
-def encode_frame(obj, *, zero_copy: bool = True, transient: bool = False):
+def encode_frame(obj, *, transient: bool = False):
     """Serialize ``obj`` into wire segments.
 
     Returns ``(segments, payload, oob_bytes, nbuf)``: a list of
@@ -147,24 +142,15 @@ def encode_frame(obj, *, zero_copy: bool = True, transient: bool = False):
     out-of-band byte count (bytes that *avoided* a serialization copy),
     and the buffer count.
     """
-    flags = FLAG_TRANSIENT if transient else 0
-    if zero_copy:
-        pbufs: list[pickle.PickleBuffer] = []
-        head = pickle.dumps(obj, protocol=5, buffer_callback=pbufs.append)
-        raws = [pb.raw() for pb in pbufs]
-    else:
-        head = pickle.dumps(obj, protocol=5)
-        raws = []
-        flags |= FLAG_LEGACY
+    pbufs: list[pickle.PickleBuffer] = []
+    head = pickle.dumps(obj, protocol=5, buffer_callback=pbufs.append)
+    raws = [pb.raw() for pb in pbufs]
     if len(raws) > MAX_FRAME_BUFFERS:
         raise FrameError(f"frame has {len(raws)} buffers (max {MAX_FRAME_BUFFERS})")
     lens = b"".join(_BUF_LEN.pack(r.nbytes) for r in raws)
+    flags = FLAG_TRANSIENT if transient else 0
     prefix = FRAME_PREFIX.pack(len(head), len(raws), flags) + lens
     oob = sum(r.nbytes for r in raws)
-    if not zero_copy:
-        # The seed protocol's send: one concatenated blob (the copy is
-        # the point -- this mode *is* the measured baseline).
-        return [prefix + head], len(head), 0, 0
     return [prefix, head, *raws], len(head) + oob, oob, len(raws)
 
 
@@ -192,7 +178,7 @@ def transmit_frame(sock, segments) -> None:
                 sent = 0
 
 
-def send_frame(sock, obj, *, zero_copy: bool = True, transient: bool = False) -> dict:
+def send_frame(sock, obj, *, transient: bool = False) -> dict:
     """Encode and transmit one frame; returns timing/accounting info.
 
     The info dict carries ``payload`` (head + buffer bytes),
@@ -203,9 +189,7 @@ def send_frame(sock, obj, *, zero_copy: bool = True, transient: bool = False) ->
     both on the ``time.perf_counter`` clock tracers use.
     """
     t0 = time.perf_counter()
-    segments, payload, oob, nbuf = encode_frame(
-        obj, zero_copy=zero_copy, transient=transient
-    )
+    segments, payload, oob, nbuf = encode_frame(obj, transient=transient)
     t1 = time.perf_counter()
     transmit_frame(sock, segments)
     t2 = time.perf_counter()
@@ -270,23 +254,6 @@ def _read_exact(sock, nbytes: int, deadline: float | None = None) -> bytearray:
     return buf
 
 
-def _read_exact_legacy(sock, nbytes: int, deadline: float | None = None) -> bytes:
-    """The seed protocol's chunk-accumulating receive (baseline mode)."""
-    buf = bytearray()
-    while len(buf) < nbytes:
-        _arm_deadline(sock, deadline)
-        try:
-            chunk = sock.recv(nbytes - len(buf))
-        except TimeoutError as exc:
-            if deadline is not None:
-                raise FrameError("reply deadline exceeded mid-frame") from exc
-            raise
-        if not chunk:
-            raise FrameError("socket closed mid-frame")
-        buf += chunk
-    return bytes(buf)
-
-
 def recv_frame(
     sock,
     *,
@@ -326,9 +293,8 @@ def recv_frame(
                 raise FrameError(f"frame buffer of {n} bytes exceeds the limit")
             lens.append(n)
     if flags & FLAG_LEGACY:
-        head = _read_exact_legacy(sock, head_len, deadline)
-    else:
-        head = _read_exact(sock, head_len, deadline)
+        raise FrameError("frame uses the retired in-band protocol")
+    head = _read_exact(sock, head_len, deadline)
     bufs: list[bytearray] = []
     for i, n in enumerate(lens):
         if pool is not None and flags & FLAG_TRANSIENT:

@@ -162,6 +162,30 @@ class TestProcessRecovery:
         finally:
             ex.close()
 
+    def test_recovered_faults_leak_no_idle_workers(self):
+        """Re-attach binds the first W *live* ranks and spawns only the
+        shortfall: a respawned replacement is the next binding's
+        worker, not an idle spare beside a revived low rank."""
+        import multiprocessing
+
+        A, b, part, _ = _problem()
+        ours = set(multiprocessing.active_children())
+        ex = ProcessExecutor(max_workers=2)
+        policy = FaultPolicy(heartbeat_interval=0.1, respawn=True)
+        z = [np.zeros(b.shape)] * part.nprocs
+        try:
+            for _ in range(3):  # kill -> recover -> detach
+                ex.attach(A, b, part.sets, get_solver("scipy"), fault_policy=policy)
+                assert ex.kill_worker(ex.alive_workers()[0])
+                ex.solve_round(z)
+                ex.detach()
+            ex.attach(A, b, part.sets, get_solver("scipy"))
+            assert len(ex.solve_round(z)) == part.nprocs
+            assert len(set(multiprocessing.active_children()) - ours) == 2
+            assert len(ex.alive_workers()) == 2
+        finally:
+            ex.close()
+
     def test_max_worker_losses_budget(self):
         A, b, part, _ = _problem()
         ex = ProcessExecutor(max_workers=2)
@@ -320,9 +344,11 @@ class TestSocketRecovery:
         finally:
             ex.close()
 
-    def test_group_aware_requeue_with_placement(self):
+    @pytest.mark.parametrize("backend", ["processes", "sockets"])
+    def test_group_aware_requeue_with_placement(self, backend):
         """Orphans re-derive their home from the plan: a same-site
-        survivor is preferred over a less-loaded remote one."""
+        survivor is preferred over a less-loaded remote one -- the
+        shared re-homing rule, so on every fleet backend."""
         A, b, part, scheme = _problem()
         plan = Placement(
             strategy="test",
@@ -335,7 +361,11 @@ class TestSocketRecovery:
             sizes=(24, 24, 24, 24),
             assignment=(0, 1, 2, 1),
         )
-        ex = SocketExecutor(workers=3)
+        ex = (
+            ProcessExecutor(max_workers=3)
+            if backend == "processes"
+            else SocketExecutor(workers=3)
+        )
         try:
             ex.attach(
                 A, b, part.sets, get_solver("scipy"),
@@ -348,7 +378,7 @@ class TestSocketRecovery:
             # Block 0 must land on the other siteA worker (rank 1, two
             # blocks already) rather than on siteB's *less loaded* rank
             # 2 -- co-location beats load in the re-derived assignment.
-            assert ex._owner[0] == 1
+            assert ex.owner_map()[0] == 1
         finally:
             ex.close()
 

@@ -382,9 +382,7 @@ class TestCrashSafety:
         A, b, part, _ = _problem()
         ex = ProcessExecutor(max_workers=2)
         ex.attach(A, b, part.sets, get_solver("scipy"))
-        victim = ex._workers[0]
-        victim.kill()
-        victim.join(timeout=10.0)
+        assert ex.kill_worker(0)
         t0 = time.monotonic()
         ex.close()  # must neither raise nor hang on the dead worker
         assert time.monotonic() - t0 < 60.0
@@ -395,9 +393,7 @@ class TestCrashSafety:
         A, b, part, _ = _problem()
         ex = SocketExecutor(workers=2)
         ex.attach(A, b, part.sets, get_solver("scipy"))
-        victim = ex._procs[0]
-        victim.kill()
-        victim.join(timeout=10.0)
+        assert ex.kill_worker(0)
         t0 = time.monotonic()
         ex.close()
         assert time.monotonic() - t0 < 60.0
@@ -617,10 +613,10 @@ class TestInvariantConformance:
             # Post-recovery quiescence: every block is owned, owned
             # once, and owned by a live worker -- exactly what the
             # readoption model asserts at its own quiescent states.
-            assert no_orphans(ex._owner, alive) is None
-            claims = {l: [w] for l, w in ex._owner.items()}
+            assert no_orphans(ex.owner_map(), alive) is None
+            claims = {l: [w] for l, w in ex.owner_map().items()}
             assert single_owner(claims) is None
-            assert set(ex._owner) == set(range(part.nprocs))
+            assert set(ex.owner_map()) == set(range(part.nprocs))
         finally:
             ex.close()
 
@@ -639,6 +635,6 @@ class TestInvariantConformance:
             ex.solve_round([z] * part.nprocs)
             assert ex.kill_worker(1)
             ex.solve_round([z] * part.nprocs)
-            assert no_orphans(ex._owner, ex.alive_workers()) is None
+            assert no_orphans(ex.owner_map(), ex.alive_workers()) is None
         finally:
             ex.close()

@@ -3,17 +3,17 @@
 Property-based (Hypothesis) coverage of :mod:`repro.runtime.wire`:
 
 * arbitrary dtypes, shapes (including 0-sized), C- and F-order arrays,
-  and nested containers survive a socket round trip **bit-identical**
-  in both wire protocols;
-* truncated streams and oversized declared lengths are rejected with
-  :class:`FrameError` (a ``ConnectionError``, so executors route
-  garbage frames through their dead-peer fault paths);
+  and nested containers survive a socket round trip **bit-identical**;
+* truncated streams, oversized declared lengths and frames flagged with
+  the retired in-band protocol are rejected with :class:`FrameError`
+  (a ``ConnectionError``, so executors route garbage frames through
+  their dead-peer fault paths);
 * :class:`BufferPool` rotation really reuses slots -- and reallocates
   on size changes;
-* the executor-level contract: ``SocketExecutor(wire_protocol=...)``
-  produces bit-identical iterates in both modes, with the zero-copy
-  accounting (``copies_avoided``) non-zero exactly when frames go
-  out-of-band.
+* the executor-level contract: ``SocketExecutor`` produces iterates
+  bit-identical to inline with the zero-copy accounting
+  (``copies_avoided``) non-zero, and both fleet backends re-send spec
+  bytes from the shared pickle cache across a respawn.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.runtime.wire import (
+    FLAG_LEGACY,
     FRAME_PREFIX,
     MAX_FRAME_BUFFER_BYTES,
     MAX_FRAME_BUFFERS,
@@ -46,7 +47,7 @@ from repro.runtime.wire import (
 # ---------------------------------------------------------------------------
 
 
-def _roundtrip(obj, *, zero_copy=True, transient=False, pool=None, key=None):
+def _roundtrip(obj, *, transient=False, pool=None, key=None):
     """Send ``obj`` over a real socket pair, return ``(obj2, sinfo, rinfo)``.
 
     The sender runs on a thread so large frames can't deadlock on the
@@ -57,7 +58,7 @@ def _roundtrip(obj, *, zero_copy=True, transient=False, pool=None, key=None):
         sinfo = {}
 
         def _send():
-            sinfo.update(send_frame(a, obj, zero_copy=zero_copy, transient=transient))
+            sinfo.update(send_frame(a, obj, transient=transient))
 
         t = threading.Thread(target=_send)
         t.start()
@@ -120,16 +121,14 @@ _ARRAYS = _DTYPES.flatmap(
 
 class TestRoundTrip:
     @settings(max_examples=50, deadline=None)
-    @given(arr=_ARRAYS, order=st.sampled_from(["C", "F"]), zero=st.booleans())
-    def test_array_roundtrip_bit_identical(self, arr, order, zero):
+    @given(arr=_ARRAYS, order=st.sampled_from(["C", "F"]))
+    def test_array_roundtrip_bit_identical(self, arr, order):
         arr = np.asarray(arr, order=order)
-        out, sinfo, rinfo = _roundtrip(("done", 3, 1, arr, 0.5), zero_copy=zero)
+        out, sinfo, rinfo = _roundtrip(("done", 3, 1, arr, 0.5))
         verb, epoch, block, arr2, dt = out
         assert (verb, epoch, block, dt) == ("done", 3, 1, 0.5)
         _assert_identical(arr, arr2)
         assert sinfo["payload"] == rinfo["payload"]
-        if not zero:
-            assert sinfo["oob_buffers"] == 0 and rinfo["oob_bytes"] == 0
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -148,10 +147,9 @@ class TestRoundTrip:
             ),
             max_leaves=6,
         ),
-        zero=st.booleans(),
     )
-    def test_nested_object_roundtrip(self, payload, zero):
-        out, _, _ = _roundtrip(payload, zero_copy=zero)
+    def test_nested_object_roundtrip(self, payload):
+        out, _, _ = _roundtrip(payload)
         _assert_identical(payload, out)
 
     def test_timing_split_present(self):
@@ -167,11 +165,6 @@ class TestRoundTrip:
         assert sinfo["oob_bytes"] >= arr.nbytes
         assert rinfo["oob_bytes"] == sinfo["oob_bytes"]
         _assert_identical(arr, out[3])
-
-    def test_pickled_mode_is_in_band(self):
-        segments, payload, oob, nbuf = encode_frame(np.arange(64.0), zero_copy=False)
-        assert oob == 0 and nbuf == 0
-        assert len(segments) == 1  # one concatenated blob, like the seed
 
     def test_pooled_receive_backs_arrays(self):
         pool = BufferPool(depth=4)
@@ -271,6 +264,18 @@ class TestMalformedFrames:
         finally:
             sock.close()
 
+    def test_retired_in_band_flag_rejected(self):
+        """The pickled protocol is gone, but its flag bit is still
+        outside input: a frame carrying it is refused, not decoded."""
+        head = pickle.dumps(("done", 0, 0, 0.1), protocol=5)
+        frame = FRAME_PREFIX.pack(len(head), 0, FLAG_LEGACY) + head
+        sock = _feed_raw(frame)
+        try:
+            with pytest.raises(FrameError, match="retired"):
+                recv_frame(sock)
+        finally:
+            sock.close()
+
     def test_too_many_buffers_rejected_on_send(self):
         arrs = [np.zeros(1) for _ in range(MAX_FRAME_BUFFERS + 1)]
         with pytest.raises(FrameError):
@@ -329,9 +334,8 @@ def _executor_problem(n=96, L=4, seed=5):
     return A, b, part, make_weighting("ownership", part)
 
 
-class TestSocketExecutorProtocols:
-    @pytest.mark.parametrize("protocol", ["zerocopy", "pickled"])
-    def test_bit_identical_vs_inline(self, protocol):
+class TestFleetWire:
+    def test_bit_identical_vs_inline(self):
         from repro.core import multisplitting_iterate
         from repro.core.stopping import StoppingCriterion
         from repro.direct import get_solver
@@ -344,7 +348,7 @@ class TestSocketExecutorProtocols:
             A, b, part, scheme, get_solver("scipy"),
             stopping=stopping, executor=InlineExecutor(),
         )
-        with SocketExecutor(workers=2, wire_protocol=protocol) as ex:
+        with SocketExecutor(workers=2) as ex:
             res = multisplitting_iterate(
                 A, b, part, scheme, get_solver("scipy"),
                 stopping=stopping, executor=ex,
@@ -352,36 +356,29 @@ class TestSocketExecutorProtocols:
             wire = ex.wire_stats()
         assert res.history == ref.history
         np.testing.assert_array_equal(res.x, ref.x)
-        assert wire["wire_protocol"] == protocol
         assert wire["serialize_seconds"] > 0.0
         assert wire["transmit_seconds"] > 0.0
-        if protocol == "zerocopy":
-            assert wire["copies_avoided"] > 0
-        else:
-            assert wire["copies_avoided"] == 0
+        assert wire["copies_avoided"] > 0
 
-    def test_unknown_protocol_rejected(self):
-        from repro.runtime import SocketExecutor
-
-        with pytest.raises(ValueError, match="wire_protocol"):
-            SocketExecutor(workers=1, wire_protocol="carrier-pigeon")
-
-    def test_spec_bytes_shared_across_respawn(self):
+    @pytest.mark.parametrize("backend", ["processes", "sockets"])
+    def test_spec_bytes_shared_across_respawn(self, backend):
         """Recovery re-sends a worker's solve spec from the pickle cache."""
         from repro.direct import get_solver
-        from repro.runtime import FaultPolicy, SocketExecutor
+        from repro.runtime import FaultPolicy, ProcessExecutor, SocketExecutor
 
         A, b, part, _ = _executor_problem()
-        ex = SocketExecutor(workers=2)
+        ex = (
+            ProcessExecutor(max_workers=2)
+            if backend == "processes"
+            else SocketExecutor(workers=2)
+        )
         try:
             ex.attach(
                 A, b, part.sets, get_solver("scipy"),
                 fault_policy=FaultPolicy(heartbeat_interval=0.1, respawn=True),
             )
             assert ex.wire_stats()["spec_pickles_reused"] == 0
-            victim = ex._procs[0]
-            victim.kill()
-            victim.join(timeout=10.0)
+            assert ex.kill_worker(0)
             z = np.zeros(b.shape)
             ex.solve_round([z] * part.nprocs)  # triggers detect + respawn
             assert ex.wire_stats()["spec_pickles_reused"] >= 1
