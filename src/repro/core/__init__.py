@@ -6,7 +6,11 @@ Layered as:
 * :mod:`repro.core.weighting` -- the ``E_lk`` families of Section 4;
 * :mod:`repro.core.local` -- the per-processor factored band kernel;
 * :mod:`repro.core.stopping` -- stopping rules (the paper's ``1e-8``);
-* :mod:`repro.core.sequential` -- in-process reference + chaotic variant;
+* :mod:`repro.core.result` -- the one :class:`SolveResult` record;
+* :mod:`repro.core.session` -- the run session every in-process
+  schedule shares (binding, fold, monitor, result assembly);
+* :mod:`repro.core.sequential` -- the in-process schedules: barrier,
+  dependency-gated, bounded-delay chaotic;
 * :mod:`repro.core.sync` / :mod:`repro.core.asynchronous` -- the two
   distributed algorithms on the grid simulator;
 * :mod:`repro.core.solver` -- the :class:`MultisplittingSolver` facade;
@@ -17,11 +21,7 @@ Layered as:
 """
 
 from repro.core.asynchronous import run_asynchronous
-from repro.core.distributed import (
-    CommPattern,
-    DistributedRunResult,
-    communication_pattern,
-)
+from repro.core.distributed import CommPattern, communication_pattern
 from repro.core.local import LocalSystem, build_local_systems
 from repro.core.newton import NewtonResult, newton_multisplitting
 from repro.core.partition import (
@@ -33,12 +33,9 @@ from repro.core.partition import (
     uniform_bands,
 )
 from repro.core.preconditioning import jacobi_preconditioner, row_equilibrate
-from repro.core.sequential import (
-    SequentialResult,
-    chaotic_iterate,
-    multisplitting_iterate,
-)
-from repro.core.solver import MultisplittingSolver, SolveResult
+from repro.core.result import SolveResult
+from repro.core.sequential import chaotic_iterate, multisplitting_iterate
+from repro.core.solver import MultisplittingSolver
 from repro.core.stopping import LocalConvergenceState, StoppingCriterion
 from repro.core.sync import run_synchronous
 from repro.core.theory import (
@@ -66,7 +63,6 @@ __all__ = [
     "BandPartition",
     "BlockJacobiWeighting",
     "CommPattern",
-    "DistributedRunResult",
     "GeneralPartition",
     "LocalConvergenceState",
     "LocalSystem",
@@ -74,7 +70,6 @@ __all__ = [
     "NewtonResult",
     "OwnershipWeighting",
     "SchwarzWeighting",
-    "SequentialResult",
     "SolveResult",
     "StoppingCriterion",
     "TheoremOneReport",

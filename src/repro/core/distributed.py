@@ -9,38 +9,42 @@ same deployment pattern on the grid simulator:
   message bytes) are charged inside each simulated coroutine against its
   host and the network, which is where the tables' times come from.
 
-This module holds the result record, the placement logic, and the common
-initialisation step (memory charge + factorization charge) so the two
-algorithms differ only in their iteration loops.
+This module holds that deployment, written once: :func:`simulate` (host
+mapping, local systems, communication pattern, memory precheck, engine
+run, solution assembly and the result record) and the per-rank
+:class:`SimRank` the coroutines work with -- so the two algorithms
+differ only in their iteration loops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from repro.core.local import LocalSystem
+from repro.core.local import LocalSystem, build_local_systems
 from repro.core.partition import GeneralPartition
+from repro.core.result import STATUS_MAXITER, STATUS_NEM, STATUS_OK, SolveResult
 from repro.direct.costs import BYTES_PER_NNZ
+from repro.grid.comm import vector_bytes
 from repro.grid.engine import SimContext
+from repro.grid.host import Host
 from repro.grid.topology import Cluster
-from repro.grid.trace import RunStats
+from repro.grid.trace import TraceRecorder
+from repro.linalg.norms import residual_norm
 
 __all__ = [
-    "DistributedRunResult",
     "ProcOutcome",
+    "SimRank",
     "CommPattern",
     "communication_pattern",
     "placement_for",
     "charge_initialisation",
     "band_memory_bytes",
+    "simulate",
 ]
-
-#: Status values of a distributed run.
-STATUS_OK = "ok"
-STATUS_NEM = "nem"  # not enough memory -- the paper's Table 3 outcome
-STATUS_MAXITER = "max-iterations"
 
 
 @dataclass
@@ -54,54 +58,6 @@ class ProcOutcome:
     finished_at: float
     locally_converged: bool
     detection_messages: int = 0
-
-
-@dataclass
-class DistributedRunResult:
-    """Outcome of one simulated distributed solve.
-
-    Attributes
-    ----------
-    x:
-        Assembled solution (``None`` when the run failed with "nem").
-    status:
-        ``"ok"``, ``"nem"`` (simulated out-of-memory) or
-        ``"max-iterations"``.
-    converged:
-        True when global convergence was detected.
-    iterations:
-        Maximum per-processor outer iteration count (the synchronous count
-        is identical on every rank; asynchronous counts "widely differ",
-        as the paper notes).
-    per_proc_iterations:
-        The full per-rank counts.
-    simulated_time:
-        Simulated seconds until the last processor finished -- the number
-        comparable to the paper's table entries.
-    factorization_time:
-        Simulated seconds until the last factorization completed
-        (the paper's separate "factorization time" column).
-    residual:
-        True ``||b - A x||_inf`` computed by the driver after the run.
-    stats:
-        Aggregated trace statistics (messages, bytes, compute time).
-    detection_messages:
-        Total detection-protocol messages (cost of the termination layer).
-    """
-
-    x: np.ndarray | None
-    status: str
-    converged: bool
-    iterations: int
-    per_proc_iterations: list[int]
-    simulated_time: float
-    factorization_time: float
-    residual: float
-    stats: RunStats | None = None
-    detection_messages: int = 0
-    mode: str = ""
-    nprocs: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def placement_for(cluster: Cluster, nprocs: int, plan=None):
@@ -265,4 +221,167 @@ def communication_pattern(
         deps=deps,
         dependents=[sorted(v) for v in dependents],
         recv_terms=recv_terms,
+    )
+
+
+@dataclass
+class SimRank:
+    """What one simulated processor's coroutine works with.
+
+    ``terms[k] = (piece_idx, col_idx, w)`` are this rank's
+    ``recv_terms``, keyed by the ranks it depends on, with ``w`` shaped
+    to broadcast against the payload; ``seconds`` accumulates the *real*
+    wall-clock of its block solves.
+    """
+
+    l: int
+    system: LocalSystem
+    host: Host
+    rows: np.ndarray
+    core_mask: np.ndarray
+    needed: np.ndarray
+    dependents: list[int]
+    terms: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    z_init: np.ndarray
+    k_width: int
+    factor_ready_at: float = 0.0
+    seconds: float = 0.0
+
+    def start(self, ctx: SimContext):
+        """Generator: charge set-up; returns the start copy and its piece."""
+        yield from charge_initialisation(ctx, self.system)
+        self.factor_ready_at = ctx.now
+        z = self.z_init.copy()
+        return z, z[self.rows].copy()
+
+    def solve(self, z: np.ndarray) -> np.ndarray:
+        """Solve the band system against ``z`` (real work, timed)."""
+        t0 = time.perf_counter()
+        piece = self.system.solve_with(z)
+        self.seconds += time.perf_counter() - t0
+        return piece
+
+    def send_piece(self, ctx: SimContext, piece: np.ndarray, payload, **kwargs):
+        """Generator: ship ``XSub`` to every rank that depends on this one."""
+        for k in self.dependents:
+            yield ctx.send(
+                k, nbytes=vector_bytes(piece.shape[0], self.k_width),
+                payload=payload, **kwargs,
+            )
+
+    def fold(self, z: np.ndarray, k: int, piece: np.ndarray) -> None:
+        """Add rank ``k``'s piece into the local copy: ``z += E_lk piece``.
+
+        Only the components this rank's coupling block reads
+        (``needed``, zeroed by the caller before a fold pass) are
+        touched.
+        """
+        piece_idx, col_idx, w = self.terms[k]
+        z[col_idx] += w * piece[piece_idx]
+
+    def outcome(self, ctx: SimContext, iterations, piece, converged, messages=0):
+        """The coroutine's return value."""
+        return ProcOutcome(
+            rank=self.l,
+            iterations=iterations,
+            core_piece=piece[self.core_mask],
+            factor_ready_at=self.factor_ready_at,
+            finished_at=ctx.now,
+            locally_converged=converged,
+            detection_messages=messages,
+        )
+
+
+def simulate(
+    A, b, partition, weighting, solver, cluster: Cluster, proc, *,
+    mode: str, x0=None, cache=None, executor=None, placement=None,
+) -> SolveResult:
+    """Run ``proc(ctx, rank)`` as one simulated process per band.
+
+    The shared deployment of both distributed algorithms: ranks are
+    mapped to hosts (``placement``), the band systems are sliced and
+    factored for real (through ``cache``; ``executor`` parallelises that
+    setup), and the run is decided "nem" up front when a band does not
+    fit its host -- a rank dying of OOM mid-protocol would leave its
+    neighbours blocked, and this is also how "nem" manifests for MPI
+    codes: the job aborts as a whole.
+    """
+    b = np.asarray(b, dtype=float)
+    z_init = np.zeros(b.shape) if x0 is None else np.asarray(x0, dtype=float).copy()
+    if z_init.shape != b.shape:
+        raise ValueError(f"x0 must have shape {b.shape}")
+    batched = b.ndim == 2
+    L = partition.nprocs
+    hosts = placement_for(cluster, L, plan=placement)
+    cache_before = cache.stats.snapshot() if cache is not None else None
+
+    def cache_delta():
+        return cache.stats.since(cache_before) if cache is not None else None
+
+    systems = build_local_systems(
+        A, b, partition.sets, solver, cache=cache, executor=executor
+    )
+    if any(band_memory_bytes(s) > h.memory_free for s, h in zip(systems, hosts)):
+        return SolveResult(
+            x=None,
+            converged=False,
+            status=STATUS_NEM,
+            iterations=0,
+            residual=float("nan"),
+            mode=mode,
+            nprocs=L,
+            per_proc_iterations=[0] * L,
+            simulated_time=0.0,
+            factorization_time=0.0,
+            cache_stats=cache_delta(),
+        )
+    pattern = communication_pattern(partition, weighting, systems)
+    ranks = [
+        SimRank(
+            l=l,
+            system=systems[l],
+            host=hosts[l],
+            rows=partition.sets[l],
+            core_mask=np.isin(partition.sets[l], partition.core[l]),
+            needed=pattern.needed_cols[l],
+            dependents=pattern.dependents[l],
+            terms={
+                k: (piece_idx, col_idx, w[:, None] if batched else w)
+                for k, (piece_idx, col_idx, w) in pattern.recv_terms[l].items()
+            },
+            z_init=z_init,
+            k_width=b.shape[1] if batched else 1,
+        )
+        for l in range(L)
+    ]
+    recorder = TraceRecorder(keep_events=0)
+    engine = cluster.make_engine(trace=recorder)
+    for rank in ranks:
+        engine.spawn(partial(proc, rank=rank), rank.host, name=f"ms-{mode}-{rank.l}")
+    engine.run()
+    outcomes: list[ProcOutcome] = engine.results()
+    x = assemble_solution(partition, outcomes)
+    converged = all(o.locally_converged for o in outcomes)
+    summary = None
+    if placement is not None:
+        # Provenance includes the *actual* host mapping (by-name when the
+        # plan was built from this cluster, positional for generic plans).
+        summary = dict(placement.summary(), hosts=[h.name for h in hosts])
+    return SolveResult(
+        x=x,
+        converged=converged,
+        status=STATUS_OK if converged else STATUS_MAXITER,
+        iterations=max(o.iterations for o in outcomes),
+        residual=residual_norm(A, x, b),
+        mode=mode,
+        nprocs=L,
+        per_proc_iterations=[o.iterations for o in outcomes],
+        simulated_time=max(o.finished_at for o in outcomes),
+        factorization_time=max(o.factor_ready_at for o in outcomes),
+        detection_messages=sum(o.detection_messages for o in outcomes),
+        stats=recorder.stats(),
+        cache_stats=cache_delta(),
+        backend=executor.name if executor is not None else "inline",
+        block_seconds={rank.l: rank.seconds for rank in ranks},
+        placement=summary,
     )

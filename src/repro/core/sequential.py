@@ -32,131 +32,39 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
 from repro.core.partition import GeneralPartition
+from repro.core.result import SolveResult
+from repro.core.session import RunSession
 from repro.core.stopping import StoppingCriterion
 from repro.core.weighting import WeightingScheme
 from repro.direct.base import DirectSolver
-from repro.direct.cache import CacheStats, FactorizationCache
-from repro.linalg.norms import max_norm, residual_norm
-from repro.observe import resolve_trace
+from repro.direct.cache import FactorizationCache
+from repro.linalg.norms import residual_norm
 
-__all__ = ["SequentialResult", "multisplitting_iterate", "chaotic_iterate"]
-
-
-@dataclass
-class SequentialResult:
-    """Outcome of an in-process multisplitting run.
-
-    Attributes
-    ----------
-    x:
-        Final combined iterate (core-owned components of each processor);
-        shape ``(n,)`` or ``(n, k)`` for batched right-hand sides.
-    iterations:
-        Outer iterations executed.
-    converged:
-        Whether the stopping rule was met before ``max_iterations``.
-    history:
-        Per-iteration monitor values (diff max-norms).
-    residual:
-        Final true residual ``||b - A x||_inf`` (max over columns when
-        batched).
-    cache_stats:
-        Factorization-cache counters attributable to this run (``None``
-        when no cache was supplied).
-    fault_stats:
-        Fault-tolerance counters of the run
-        (:class:`repro.runtime.resilience.FaultStats`: workers lost,
-        blocks requeued, refactor seconds, injected chaos); ``None``
-        when the backend tracks no faults (inline, threads).
-    backend:
-        Name of the :mod:`repro.runtime` backend the block solves ran on.
-    block_seconds:
-        Cumulative wall-clock seconds spent solving each block (measured
-        where the solve executed -- worker-side for the process backend).
-    placement:
-        Summary of the :class:`repro.schedule.Placement` the run was
-        pinned with (``None`` without one).
-    wire:
-        Byte counters of the run's data movement (the executor's
-        :meth:`~repro.runtime.Executor.wire_stats`):
-        ``attach_payload_bytes`` per worker plus per-round vector
-        traffic on the distributed backends; ``{}`` in-process.
-    trace:
-        The :class:`repro.observe.Tracer` holding the run's merged span
-        timeline when the driver ran with ``trace=``; ``None`` otherwise.
-    dispatch:
-        How the synchronous rounds were driven: ``"barrier"`` (every
-        block waits on the global round) or ``"pipelined"``
-        (dependency-gated dispatch -- bit-identical iterates, no global
-        barrier).
-    gate_wait_seconds:
-        Pipelined runs only: cumulative seconds blocks spent idle
-        between finishing one round and having their dependencies ready
-        for the next (0.0 under the barrier).
-    """
-
-    x: np.ndarray
-    iterations: int
-    converged: bool
-    history: list[float] = field(default_factory=list)
-    residual: float = np.nan
-    cache_stats: CacheStats | None = None
-    fault_stats: "object | None" = None
-    backend: str = "inline"
-    block_seconds: dict[int, float] = field(default_factory=dict)
-    placement: dict | None = None
-    wire: dict = field(default_factory=dict)
-    trace: "object | None" = None
-    dispatch: str = "barrier"
-    gate_wait_seconds: float = 0.0
+__all__ = ["multisplitting_iterate", "chaotic_iterate"]
 
 
-def _resolve_executor(executor):
-    """Default to the serial backend; report whether we own its lifecycle."""
-    if executor is None:
-        # Imported lazily: repro.runtime builds on repro.core, so a
-        # module-level import here would be circular.
-        from repro.runtime.inline import InlineExecutor
-
-        return InlineExecutor(), True
-    return executor, False
-
-
-def _resolve_elastic(elastic, ex, nblocks: int, tracer):
-    """Build the per-run elastic controller (or pass one through).
-
-    ``elastic`` may be ``True`` (default policy), an
-    :class:`repro.schedule.ElasticPolicy`, or a pre-built
-    :class:`repro.schedule.ElasticController`.  Constructed *after*
-    attach on purpose: the controller snapshots the executor's
-    membership version and block-seconds baseline at creation.
-    """
-    if elastic is None or elastic is False:
-        return None
-    # Lazy: repro.schedule builds on repro.core (same idiom as above).
-    from repro.schedule.elastic import ElasticController, ElasticPolicy
-
-    if isinstance(elastic, ElasticController):
-        return elastic
-    policy = elastic if isinstance(elastic, ElasticPolicy) else None
-    return ElasticController(ex, nblocks, policy=policy, tracer=tracer)
-
-
-def _combine_core(partition: GeneralPartition, pieces: list[np.ndarray]) -> np.ndarray:
-    """Assemble the global estimate from the owned (core) components."""
-    shape = (partition.n,) if pieces[0].ndim == 1 else (partition.n, pieces[0].shape[1])
-    x = np.empty(shape)
-    for l, C in enumerate(partition.core):
-        rows = partition.sets[l]
-        sel = np.isin(rows, C)
-        x[C] = pieces[l][sel]
-    return x
+def _barrier_rounds(run: RunSession) -> SolveResult:
+    """The paper's synchronous mode verbatim: every round waits for all blocks."""
+    blocks = range(run.nblocks)
+    Z = [run.z0.copy() for _ in blocks]
+    for it in range(1, run.stopping.max_iterations + 1):
+        pieces = run.round(it, run.ex.solve_round, Z)
+        Z = [run.fold(l, pieces.__getitem__) for l in blocks]
+        if run.observe(it, pieces):
+            return run.result(True)
+        if run.controller is not None:
+            # Quiescent boundary: every piece of this round is folded
+            # and nothing is in flight, so membership changes
+            # (grow/shrink from the callback, a chaos injection, a
+            # recovery) are safe to act on now.
+            run.controller.maybe_replan(it)
+    return run.result(False)
 
 
 #: How many rounds a block may run ahead of the slowest monitored round
@@ -167,9 +75,7 @@ def _combine_core(partition: GeneralPartition, pieces: list[np.ndarray]) -> np.n
 _PIPELINE_WINDOW = 3
 
 
-def _pipelined_rounds(
-    A, b, partition, weighting, weights, stopping, ex, tracer, z0, callback
-):
+def _pipelined_rounds(run: RunSession) -> SolveResult:
     """Dependency-gated synchronous rounds (no global barrier).
 
     Block ``l``'s round-``k+1`` solve dispatches the moment the round-
@@ -180,11 +86,9 @@ def _pipelined_rounds(
     ``k`` piece the barrier would, and a non-gated term's weight is zero
     at every column the solve reads, so the stale piece standing in for
     it is multiplied away before it can reach the kernel.
-
-    Returns ``(x, iterations, converged, history, gate_wait_seconds)``.
     """
     # Lazy: repro.schedule builds on repro.core, so a module-level
-    # import here would be circular (same idiom as _resolve_executor).
+    # import here would be circular (same idiom as the session's).
     from repro.schedule.pattern import dependency_gates
 
     # Construction-time guard on the window/pool-depth invariant: the
@@ -199,33 +103,25 @@ def _pipelined_rounds(
     if window_msg is not None:
         raise RuntimeError(f"pipelined dispatch misconfigured: {window_msg}")
 
-    L = partition.nprocs
-    gates = dependency_gates(A, partition, weighting)
-    batched = b.ndim == 2
-    max_r = stopping.max_iterations
-    state = stopping.new_state()
-    x_prev = z0.copy()
-    history: list[float] = []
-    converged = False
-    iterations = 0
+    L = run.nblocks
+    tracer = run.tracer
+    gates = dependency_gates(run.A, run.partition, run.weighting)
+    max_r = run.stopping.max_iterations
+    converged = stop = False
     gate_wait = 0.0
     #: rounds[r][l] = block l's round-r piece (pruned once no open gate
     #: or monitor can still read it).
     rounds: dict[int, dict[int, np.ndarray]] = {}
-    latest = [z0[partition.sets[k]] for k in range(L)]
-    submitted = [0] * L
+    latest = [run.z0[J] for J in run.partition.sets]
+    submitted = [1] * L
     t_done = [time.perf_counter()] * L
     monitor = 1  # next round to fold into the convergence history
-    inflight = 0
-    stream = ex.open_stream()
-    try:
-        if max_r >= 1:
-            # Round 1 solves on the caller's start vector directly, like
-            # the barrier's initial Z.
-            for l in range(L):
-                stream.submit(l, z0)
-                submitted[l] = 1
-                inflight += 1
+    inflight = L
+    with run.ex.open_stream() as stream:
+        # Round 1 solves on the caller's start vector directly, like the
+        # barrier's initial Z.
+        for l in range(L):
+            stream.submit(l, run.z0)
         while inflight:
             l, piece = stream.next_done()
             inflight -= 1
@@ -235,30 +131,11 @@ def _pipelined_rounds(
             # Fold completed rounds into the history strictly in order:
             # the monitor sequence (metric values, callback, stopping
             # state) is exactly the barrier driver's.
-            stop = False
-            while monitor in rounds and len(rounds[monitor]) == L:
+            while len(rounds.get(monitor, ())) == L:
                 pieces = [rounds[monitor][k] for k in range(L)]
-                iterations = monitor
-                x_est = _combine_core(partition, pieces)
-                if stopping.metric == "residual":
-                    value = residual_norm(A, x_est, b)
-                else:
-                    value = max_norm(x_est - x_prev)
-                history.append(value)
-                x_prev = x_est
-                if callback is not None:
-                    callback(monitor, x_est)
-                if tracer is not None:
-                    tracer.event(
-                        "round", cat="round", lane="driver",
-                        round=monitor, dispatch="pipelined",
-                    )
-                if state.observe(value):
-                    converged = True
-                    stop = True
-                    break
-                if monitor >= max_r:
-                    stop = True
+                converged = run.observe(monitor, pieces, dispatch="pipelined")
+                stop = converged or monitor >= max_r
+                if stop:
                     break
                 monitor += 1
             if stop:
@@ -277,18 +154,11 @@ def _pipelined_rounds(
                 prev = rounds.get(r_next - 1, {})
                 if any(k not in prev for k in gates[m]):
                     continue
-                z = np.zeros(b.shape)
-                for k, w in weights[m].items():
-                    wk = w[:, None] if batched else w
-                    src = prev.get(k)
-                    if src is None:
-                        # Not a gate: w vanishes at every column block
-                        # m's solve reads, so any round's piece works
-                        # (the value is multiplied away).
-                        src = latest[k]
-                    z[partition.sets[k]] += wk * src
-                now = time.perf_counter()
-                wait = now - t_done[m]
+                # A non-gate term's weight vanishes at every column
+                # block m's solve reads, so any round's piece works (the
+                # value is multiplied away).
+                z = run.fold(m, lambda k: prev[k] if k in prev else latest[k])
+                wait = time.perf_counter() - t_done[m]
                 gate_wait += wait
                 if tracer is not None:
                     tracer.add(
@@ -298,9 +168,7 @@ def _pipelined_rounds(
                 stream.submit(m, z)
                 submitted[m] = r_next
                 inflight += 1
-    finally:
-        stream.close()
-    return x_prev, iterations, converged, history, gate_wait
+    return run.result(converged, dispatch="pipelined", gate_wait_seconds=gate_wait)
 
 
 def multisplitting_iterate(
@@ -320,7 +188,7 @@ def multisplitting_iterate(
     trace=None,
     dispatch: str = "barrier",
     elastic=None,
-) -> SequentialResult:
+) -> SolveResult:
     """Run the synchronous multisplitting-direct iteration in-process.
 
     Implements exactly the mapping (2)-(3): every processor ``l`` keeps a
@@ -387,7 +255,6 @@ def multisplitting_iterate(
         ``fault_stats`` (``grow_events`` / ``shrink_events`` /
         ``blocks_migrated`` / ``migration_seconds``).
     """
-    stopping = stopping or StoppingCriterion()
     if dispatch not in ("barrier", "pipelined"):
         raise ValueError(
             f"dispatch must be 'barrier' or 'pipelined', got {dispatch!r}"
@@ -400,94 +267,14 @@ def multisplitting_iterate(
             stacklevel=2,
         )
         elastic = None
-    L = partition.nprocs
-    b = np.asarray(b, dtype=float)
-    ex, owns_executor = _resolve_executor(executor)
-    tracer = resolve_trace(trace)
-    if tracer is not None:
-        ex.set_tracer(tracer)
-    z0 = np.zeros(b.shape) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if z0.shape != b.shape:
-        raise ValueError(f"x0 must have shape {b.shape}")
-    try:
-        ex.attach(
-            A, b, partition.sets, solver,
-            cache=cache, placement=placement, fault_policy=fault_policy,
-        )
-        weights = [weighting.update_weights(l) for l in range(L)]
-        controller = _resolve_elastic(elastic, ex, L, tracer)
-        gate_wait = 0.0
-        if dispatch == "pipelined":
-            x_prev, iterations, converged, history, gate_wait = _pipelined_rounds(
-                A, b, partition, weighting, weights, stopping, ex, tracer,
-                z0, callback,
-            )
-        else:
-            Z = [z0.copy() for _ in range(L)]
-            state = stopping.new_state()
-            x_prev = z0.copy()
-            history = []
-            converged = False
-            iterations = 0
-            batched = b.ndim == 2
-            for it in range(1, stopping.max_iterations + 1):
-                iterations = it
-                if tracer is None:
-                    pieces = ex.solve_round(Z)
-                else:
-                    t_round = tracer.now()
-                    pieces = ex.solve_round(Z)
-                    tracer.add(
-                        "round", "round", t_round, tracer.now() - t_round,
-                        lane="driver", round=it,
-                    )
-                for l in range(L):
-                    z_new = np.zeros(b.shape)
-                    for k, w in weights[l].items():
-                        wk = w[:, None] if batched else w
-                        z_new[partition.sets[k]] += wk * pieces[k]
-                    Z[l] = z_new
-                x_est = _combine_core(partition, pieces)
-                if stopping.metric == "residual":
-                    value = residual_norm(A, x_est, b)
-                else:
-                    value = max_norm(x_est - x_prev)
-                history.append(value)
-                x_prev = x_est
-                if callback is not None:
-                    callback(it, x_est)
-                if state.observe(value):
-                    converged = True
-                    break
-                if controller is not None:
-                    # Quiescent boundary: every piece of this round is
-                    # folded and nothing is in flight, so membership
-                    # changes (grow/shrink from the callback, a chaos
-                    # injection, a recovery) are safe to act on now.
-                    controller.maybe_replan(it)
-        result = SequentialResult(
-            x=x_prev,
-            iterations=iterations,
-            converged=converged,
-            history=history,
-            residual=residual_norm(A, x_prev, b),
-            cache_stats=ex.run_cache_stats(),
-            fault_stats=ex.fault_stats(),
-            backend=ex.name,
-            block_seconds=ex.block_seconds(),
-            placement=placement.summary() if placement is not None else None,
-            wire=ex.wire_stats(),
-            trace=tracer,
-            dispatch=dispatch,
-            gate_wait_seconds=gate_wait,
-        )
-    finally:
-        ex.detach()
-        if tracer is not None:
-            ex.set_tracer(None)
-        if owns_executor:
-            ex.close()
-    return result
+    schedule = _pipelined_rounds if dispatch == "pipelined" else _barrier_rounds
+    with RunSession(
+        A, b, partition, weighting, solver,
+        stopping=stopping or StoppingCriterion(), x0=x0, callback=callback,
+        cache=cache, executor=executor, placement=placement,
+        fault_policy=fault_policy, trace=trace, elastic=elastic,
+    ) as run:
+        return schedule(run)
 
 
 def chaotic_iterate(
@@ -508,7 +295,7 @@ def chaotic_iterate(
     fault_policy=None,
     trace=None,
     elastic=None,
-) -> SequentialResult:
+) -> SolveResult:
     """Emulate an asynchronous execution with bounded delays.
 
     Per global step, each processor updates with probability
@@ -551,117 +338,63 @@ def chaotic_iterate(
         raise ValueError("update_probability must lie in (0, 1]")
     if max_delay < 0:
         raise ValueError("max_delay must be non-negative")
-    stopping = stopping or StoppingCriterion(consecutive=3)
     rng = np.random.default_rng(seed)
-    n, L = partition.n, partition.nprocs
-    b = np.asarray(b, dtype=float)
-    ex, owns_executor = _resolve_executor(executor)
-    tracer = resolve_trace(trace)
-    if tracer is not None:
-        ex.set_tracer(tracer)
-    z0 = np.zeros(b.shape) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if z0.shape != b.shape:
-        raise ValueError(f"x0 must have shape {b.shape}")
-    weights = [weighting.update_weights(l) for l in range(L)]
-    batched = b.ndim == 2
-    try:
-        ex.attach(
-            A, b, partition.sets, solver,
-            cache=cache, placement=placement, fault_policy=fault_policy,
-        )
-        # ring buffer of historical pieces for stale reads
-        pieces = [z0[partition.sets[l]].copy() for l in range(L)]
-        piece_history: list[list[np.ndarray]] = [[p.copy() for p in pieces]]
+    # The monitor is always the iterate diff here; the residual enters
+    # as the verification of candidate stops.
+    stopping = replace(stopping or StoppingCriterion(consecutive=3), metric="diff")
+    with RunSession(
+        A, b, partition, weighting, solver, stopping=stopping, x0=x0,
+        cache=cache, executor=executor, placement=placement,
+        fault_policy=fault_policy, trace=trace, elastic=elastic,
+    ) as run:
+        L = run.nblocks
+        # Ring of the last ``max_delay + 1`` steps' pieces for stale
+        # reads.  Pieces are copied on arrival (a backend may recycle
+        # the buffer it returned) and never written afterwards.
+        pieces = [run.z0[J] for J in partition.sets]
+        ring = [pieces]
         starve_guard = max(1, int(np.ceil(1 / update_probability))) * 4
         since_update = [0] * L
-        state = stopping.new_state()
-        x_prev = z0.copy()
-        history: list[float] = []
-        converged = False
-        iterations = 0
         # Soundness guard: a small global diff on a step where few processors
         # updated says little.  Convergence additionally requires that *every*
         # processor has updated since the last above-tolerance diff.
         updated_since_bad: set[int] = set()
-        # Residual threshold for verifying candidate stops (see docstring).
-        row_sums = np.abs(A).sum(axis=1)
-        norm_A = float(np.max(np.asarray(row_sums))) if partition.n else 0.0
-        residual_tolerance = stopping.tolerance * max(1.0, norm_A)
-        controller = _resolve_elastic(elastic, ex, L, tracer)
+        residual_tolerance = run.residual_threshold()
+
+        def stale(k: int, reader: int) -> np.ndarray:
+            """Block ``k``'s piece at a seeded lag (a block's own: current)."""
+            lag = int(rng.integers(0, max_delay + 1)) if k != reader else 0
+            return ring[-1 - min(lag, len(ring) - 1)][k]
+
         for it in range(1, stopping.max_iterations + 1):
-            iterations = it
-            new_pieces = [p.copy() for p in pieces]
             tasks: list[tuple[int, np.ndarray]] = []
-            updated_now: list[int] = []
             for l in range(L):
                 since_update[l] += 1
                 if rng.random() > update_probability and since_update[l] < starve_guard:
                     continue
                 since_update[l] = 0
-                updated_now.append(l)
-                # build z^l from (possibly stale) neighbour pieces
-                z = np.zeros(b.shape)
-                for k, w in weights[l].items():
-                    lag = int(rng.integers(0, max_delay + 1)) if k != l else 0
-                    lag = min(lag, len(piece_history) - 1)
-                    stale = piece_history[-1 - lag][k]
-                    wk = w[:, None] if batched else w
-                    z[partition.sets[k]] += wk * stale
-                tasks.append((l, z))
-            if tracer is None:
-                solved = ex.solve_blocks(tasks)
-            else:
-                t_round = tracer.now()
-                solved = ex.solve_blocks(tasks)
-                tracer.add(
-                    "round", "round", t_round, tracer.now() - t_round,
-                    lane="driver", round=it, updated=len(tasks),
-                )
-            for l, piece in zip(updated_now, solved):
-                new_pieces[l] = piece
-            pieces = new_pieces
-            piece_history.append([p.copy() for p in pieces])
-            if len(piece_history) > max_delay + 1:
-                piece_history.pop(0)
-            x_est = _combine_core(partition, pieces)
-            value = max_norm(x_est - x_prev)
-            history.append(value)
-            x_prev = x_est
-            quiet = state.observe(value)
-            if state.streak == 0:
+                tasks.append((l, run.fold(l, lambda k: stale(k, l))))
+            solved = run.round(it, run.ex.solve_blocks, tasks, updated=len(tasks))
+            pieces = list(pieces)
+            for (l, _), piece in zip(tasks, solved):
+                pieces[l] = piece.copy()
+            ring.append(pieces)
+            if len(ring) > max_delay + 1:
+                ring.pop(0)
+            quiet = run.observe(it, pieces)
+            if run.state.streak == 0:
                 updated_since_bad.clear()
             else:
-                updated_since_bad.update(updated_now)
+                updated_since_bad.update(l for l, _ in tasks)
             if quiet and len(updated_since_bad) == L:
                 # Candidate stop: verify against the true residual so stale
                 # no-op re-solves can never fake convergence.
-                if residual_norm(A, x_est, b) <= residual_tolerance:
-                    converged = True
-                    break
-                state.reset()
+                if residual_norm(A, run.x, run.b) <= residual_tolerance:
+                    return run.result(True)
+                run.state.reset()
                 updated_since_bad.clear()
-            if controller is not None:
+            if run.controller is not None:
                 # Each step's batch is closed before the next begins, so
                 # the step boundary is quiescent for migration purposes.
-                controller.maybe_replan(it)
-        result = SequentialResult(
-            x=x_prev,
-            iterations=iterations,
-            converged=converged,
-            history=history,
-            residual=residual_norm(A, x_prev, b),
-            cache_stats=ex.run_cache_stats(),
-            fault_stats=ex.fault_stats(),
-            backend=ex.name,
-            block_seconds=ex.block_seconds(),
-            placement=placement.summary() if placement is not None else None,
-            wire=ex.wire_stats(),
-            trace=tracer,
-        )
-    finally:
-        ex.detach()
-        if tracer is not None:
-            ex.set_tracer(None)
-        if owns_executor:
-            ex.close()
-    return result
+                run.controller.maybe_replan(it)
+        return run.result(False)

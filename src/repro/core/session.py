@@ -1,0 +1,233 @@
+"""The run session: what every in-process schedule shares.
+
+The paper's Algorithm 1 is one iteration body -- solve ``A[J_l, J_l]``
+against the local copy, exchange ``XSub``, recombine with the weighting
+family -- run under different *schedules* (barrier, dependency-gated,
+bounded-delay chaotic, free-running threads).  A :class:`RunSession` is
+the part that does not depend on the schedule:
+
+* the binding -- resolve the executor and the tracer, validate ``x0``
+  *before* any side effect, install the tracer, ``attach``, build the
+  elastic controller; and on every exit path ``detach``, remove the
+  tracer, close an executor the session created;
+* three primitives over that binding -- :meth:`~RunSession.fold` (the
+  local-copy combine ``z^l = sum_k E_lk piece_k``),
+  :meth:`~RunSession.observe` ("a round was folded": assemble the core
+  iterate, monitor value, history, callback, stop test) and
+  :meth:`~RunSession.result` (the one :class:`SolveResult` assembly).
+
+A schedule is then a plain function over the session that decides *which
+pieces feed which fold, and when* -- and keeps its own stop rule.
+``observe`` is the single "round folded" point; run-time monitors
+(contraction estimates, convergence telemetry) hook in there.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.result import STATUS_MAXITER, STATUS_OK, SolveResult
+from repro.linalg.norms import max_norm, residual_norm
+from repro.observe import resolve_trace
+
+__all__ = ["RunSession"]
+
+
+def _resolve_executor(executor):
+    """Default to the serial backend; report whether we own its lifecycle."""
+    if executor is None:
+        # Imported lazily: repro.runtime builds on repro.core, so a
+        # module-level import here would be circular.
+        from repro.runtime.inline import InlineExecutor
+
+        return InlineExecutor(), True
+    return executor, False
+
+
+def _resolve_elastic(elastic, ex, nblocks: int, tracer):
+    """Build the per-run elastic controller (or pass one through).
+
+    ``elastic`` may be ``True`` (default policy), an
+    :class:`repro.schedule.ElasticPolicy`, or a pre-built
+    :class:`repro.schedule.ElasticController`.  Constructed *after*
+    attach on purpose: the controller snapshots the executor's
+    membership version and block-seconds baseline at creation.
+    """
+    if elastic is None or elastic is False:
+        return None
+    # Lazy: repro.schedule builds on repro.core (same idiom as above).
+    from repro.schedule.elastic import ElasticController, ElasticPolicy
+
+    if isinstance(elastic, ElasticController):
+        return elastic
+    policy = elastic if isinstance(elastic, ElasticPolicy) else None
+    return ElasticController(ex, nblocks, policy=policy, tracer=tracer)
+
+
+class RunSession:
+    """One attached run of the multisplitting iteration (a context manager).
+
+    Construction validates and resolves but touches nothing; entering
+    binds the executor; leaving unwinds the binding whatever happened in
+    between.  Attributes the schedules read: ``ex`` (the attached
+    executor), ``tracer``, ``b``, ``z0`` (start vector), ``nblocks``,
+    ``stopping``, ``state`` (its streak tracker), ``controller`` (the
+    elastic controller or ``None``), and the monitor's running outputs
+    ``x`` / ``iterations`` / ``history``.
+    """
+
+    def __init__(
+        self, A, b, partition, weighting, solver, *, stopping, x0=None,
+        callback=None, cache=None, executor=None, placement=None,
+        fault_policy=None, trace=None, elastic=None,
+    ):
+        self.A = A
+        self.b = b = np.asarray(b, dtype=float)
+        self.z0 = np.zeros(b.shape) if x0 is None else np.asarray(x0, dtype=float).copy()
+        if self.z0.shape != b.shape:
+            raise ValueError(f"x0 must have shape {b.shape}")
+        self.partition = partition
+        self.weighting = weighting
+        self.stopping = stopping
+        self.callback = callback
+        self.nblocks = L = partition.nprocs
+        self.ex, self._owns_executor = _resolve_executor(executor)
+        self.tracer = resolve_trace(trace)
+        self._solver, self._cache, self._elastic = solver, cache, elastic
+        self._placement, self._fault_policy = placement, fault_policy
+        batched = b.ndim == 2
+        #: weights[l][k]: E_lk's diagonal over J_k, shaped to broadcast
+        #: against block k's piece.
+        self.weights = [
+            {k: w[:, None] if batched else w
+             for k, w in weighting.update_weights(l).items()}
+            for l in range(L)
+        ]
+        self._core_sel = [np.isin(partition.sets[l], partition.core[l]) for l in range(L)]
+        self.state = stopping.new_state()
+        self.controller = None
+        self.x = self.z0.copy()
+        self.iterations = 0
+        self.history: list[float] = []
+
+    def __enter__(self) -> "RunSession":
+        try:
+            if self.tracer is not None:
+                self.ex.set_tracer(self.tracer)
+                if self._cache is not None:
+                    self._cache.set_tracer(self.tracer)
+            self.ex.attach(
+                self.A, self.b, self.partition.sets, self._solver, cache=self._cache,
+                placement=self._placement, fault_policy=self._fault_policy,
+            )
+            self.controller = _resolve_elastic(
+                self._elastic, self.ex, self.nblocks, self.tracer
+            )
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.ex.detach()
+        if self.tracer is not None:
+            self.ex.set_tracer(None)
+            if self._cache is not None:
+                self._cache.set_tracer(None)
+        if self._owns_executor:
+            self.ex.close()
+
+    # -- the iteration body ----------------------------------------------
+    def fold(self, l: int, piece_of) -> np.ndarray:
+        """Block ``l``'s local copy ``z^l = sum_k E_lk piece_k``.
+
+        ``piece_of(k)`` supplies the piece of block ``k`` this fold
+        reads -- the current round's, a stale one, the latest published;
+        that choice is the schedule.  It is called once per term, in the
+        weighting family's term order.
+        """
+        z = np.zeros(self.b.shape)
+        sets = self.partition.sets
+        for k, w in self.weights[l].items():
+            z[sets[k]] += w * piece_of(k)
+        return z
+
+    def assemble(self, pieces) -> np.ndarray:
+        """The global estimate from the owned (core) components."""
+        x = np.empty(self.b.shape)
+        for core, sel, piece in zip(self.partition.core, self._core_sel, pieces):
+            x[core] = piece[sel]
+        return x
+
+    def round(self, it: int, solve, tasks, **args):
+        """Run one closed batch of block solves under round ``it``'s span."""
+        tracer = self.tracer
+        if tracer is None:
+            return solve(tasks)
+        t0 = tracer.now()
+        pieces = solve(tasks)
+        tracer.add(
+            "round", "round", t0, tracer.now() - t0, lane="driver", round=it, **args
+        )
+        return pieces
+
+    def observe(self, it: int, pieces, **mark) -> bool:
+        """Round ``it`` was folded: monitor it and run the stop test.
+
+        Assembles the core iterate, appends the monitor value (per
+        ``stopping.metric``) to ``history``, calls the callback, and
+        returns the stopping rule's flag.  A schedule with no closed
+        batch to span passes ``mark`` arguments; the fold is then marked
+        by a ``round`` event on the driver lane.
+        """
+        x = self.assemble(pieces)
+        if self.stopping.metric == "residual":
+            value = residual_norm(self.A, x, self.b)
+        else:
+            value = max_norm(x - self.x)
+        self.history.append(value)
+        self.x, self.iterations = x, it
+        if self.callback is not None:
+            self.callback(it, x)
+        if mark and self.tracer is not None:
+            self.tracer.event("round", cat="round", lane="driver", round=it, **mark)
+        return self.state.observe(value)
+
+    def residual_threshold(self) -> float:
+        """Scale-invariant bound ``tol * max(1, ||A||_inf)`` on a true residual.
+
+        Near the fixed point ``||r|| <= ||A|| ||x - x*||``, so a stop
+        verified against this bound means what the tolerance says
+        however ``A`` is scaled.
+        """
+        row_sums = np.abs(self.A).sum(axis=1)
+        norm_A = float(np.max(np.asarray(row_sums))) if self.partition.n else 0.0
+        return self.stopping.tolerance * max(1.0, norm_A)
+
+    def result(self, converged: bool, **fields) -> SolveResult:
+        """Assemble the run's :class:`SolveResult` (call while attached).
+
+        ``fields`` override or add to what the session knows -- the
+        monitor's last iterate and count, and the executor's counters.
+        """
+        ex, plan = self.ex, self._placement
+        fields = {
+            "x": self.x,
+            "iterations": self.iterations,
+            "cache_stats": ex.run_cache_stats(),
+            "fault_stats": ex.fault_stats(),
+            "backend": ex.name,
+            "block_seconds": ex.block_seconds(),
+            "wire": ex.wire_stats(),
+            **fields,
+        }
+        return SolveResult(
+            converged=converged,
+            status=STATUS_OK if converged else STATUS_MAXITER,
+            residual=residual_norm(self.A, fields["x"], self.b),
+            nprocs=self.nblocks,
+            history=self.history,
+            placement=plan.summary() if plan is not None else None,
+            trace=self.tracer,
+            **fields,
+        )

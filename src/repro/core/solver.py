@@ -25,7 +25,6 @@ Four execution modes:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,95 +37,21 @@ from repro.core.partition import (
     proportional_bands,
     uniform_bands,
 )
+from repro.core.result import SolveResult
 from repro.core.sequential import multisplitting_iterate
 from repro.core.stopping import StoppingCriterion
 from repro.core.sync import run_synchronous
 from repro.core.weighting import WeightingScheme, make_weighting
 from repro.direct.base import DirectSolver, get_solver
-from repro.direct.cache import CacheStats, FactorizationCache
+from repro.direct.cache import FactorizationCache
 from repro.grid.topology import Cluster, cluster1
-from repro.grid.trace import RunStats
+from repro.observe import resolve_trace
 
 __all__ = ["MultisplittingSolver", "SolveResult"]
 
 _MODES = ("sequential", "pipelined", "synchronous", "asynchronous")
 _PLACEMENTS = ("uniform", "proportional", "calibrated")
 _PARTITIONS = ("bands", "interleaved", "permuted", "schwarz")
-
-
-@dataclass
-class SolveResult:
-    """Uniform result record across the three execution modes.
-
-    Attributes
-    ----------
-    x:
-        Solution vector (``None`` for a "nem" outcome).
-    converged:
-        True when the stopping rule / detection protocol fired.
-    status:
-        ``"ok"``, ``"nem"`` or ``"max-iterations"``.
-    iterations:
-        Outer iterations (max across processors where they differ).
-    per_proc_iterations:
-        Per-rank counts (distributed modes only).
-    simulated_time:
-        Simulated seconds (``None`` in sequential mode).
-    factorization_time:
-        Simulated seconds until every band was factored (``None`` in
-        sequential mode).
-    residual:
-        Final ``||b - A x||_inf``.
-    mode / nprocs / detection_messages / stats:
-        Run metadata (see :class:`repro.core.distributed.DistributedRunResult`).
-    backend:
-        :mod:`repro.runtime` execution backend the block solves ran on.
-    block_seconds:
-        Real wall-clock seconds spent solving each block (cumulative over
-        the run; measured where the solve executed).
-    placement:
-        Summary of the :class:`repro.schedule.Placement` the run was
-        configured from (strategy, band sizes, block-to-worker
-        assignment), or ``None`` for the legacy implicit layout.
-    fault_stats:
-        Fault-tolerance counters of the run
-        (:class:`repro.runtime.resilience.FaultStats`), ``None`` when
-        the backend tracks no faults or the mode never attaches one.
-    """
-
-    x: np.ndarray | None
-    converged: bool
-    status: str
-    iterations: int
-    residual: float
-    mode: str
-    nprocs: int
-    per_proc_iterations: list[int] = field(default_factory=list)
-    simulated_time: float | None = None
-    factorization_time: float | None = None
-    detection_messages: int = 0
-    stats: RunStats | None = None
-    cache_stats: CacheStats | None = None
-    fault_stats: "object | None" = None
-    backend: str = "inline"
-    block_seconds: dict[int, float] = field(default_factory=dict)
-    placement: dict | None = None
-    #: Real wire accounting of the execution backend (attach payload
-    #: bytes per worker, cumulative vector traffic); empty for
-    #: in-process backends.
-    wire: dict = field(default_factory=dict)
-    #: The run's :class:`repro.observe.Tracer` when tracing was on,
-    #: else ``None``.
-    trace: "object | None" = None
-    #: Seconds ready-to-dispatch blocks spent waiting on their gates
-    #: (``"pipelined"`` mode only; 0.0 elsewhere).
-    gate_wait_seconds: float = 0.0
-
-    def error_vs(self, x_true: np.ndarray) -> float:
-        """Max-norm error against a known solution."""
-        if self.x is None:
-            return float("nan")
-        return float(np.max(np.abs(self.x - np.asarray(x_true))))
 
 
 class MultisplittingSolver:
@@ -222,8 +147,7 @@ class MultisplittingSolver:
         sub-block factorization; ``False`` disables reuse; an explicit
         cache instance shares entries with other solvers and controls
         its own capacity.  Per-run counters are reported on
-        :attr:`SolveResult.cache_stats` (and, for the distributed modes,
-        in ``SolveResult.stats``).
+        :attr:`SolveResult.cache_stats` in every mode.
     backend:
         :mod:`repro.runtime` execution backend for the block solves:
         ``"inline"`` (serial, the default), ``"threads"`` (per-block
@@ -254,9 +178,10 @@ class MultisplittingSolver:
         that dies (or breaches the policy's reply deadline) has its
         blocks requeued onto survivors -- or a respawned replacement --
         and the solve completes with identical iterates.  Counters land
-        on :attr:`SolveResult.fault_stats` (and, for the simulated
-        modes, on ``stats.workers_lost`` etc. when the real backend lost
-        workers during setup).
+        on :attr:`SolveResult.fault_stats`.  The simulated modes never
+        attach the backend (it only parallelises the setup
+        factorization), so they have no workers to lose: their results
+        carry ``fault_stats is None`` and an empty ``wire``.
     trace:
         Facade-level tracing default: ``True`` or a
         :class:`repro.observe.Tracer` makes every :meth:`solve` record
@@ -342,8 +267,6 @@ class MultisplittingSolver:
         self.elastic = elastic
         # Facade-level tracing default: every solve() records onto this
         # tracer unless the call passes its own ``trace=``.
-        from repro.observe import resolve_trace
-
         self.trace = resolve_trace(trace)
         # Executors carry per-binding attach state, so one instance can
         # serve only one thread at a time.  A *name* backend therefore
@@ -578,30 +501,15 @@ class MultisplittingSolver:
             plan = self._resolve_plan(A, n, None, nprocs) if partition is None else None
             plan, part = self._plan_and_partition(plan, partition, n, None, nprocs)
             scheme = self._resolve_weighting(part)
-            seq = multisplitting_iterate(
+            result = multisplitting_iterate(
                 A, b, part, scheme, self.direct_solver, stopping=self.stopping,
                 x0=x0, cache=self.cache, executor=self._get_executor(),
                 placement=plan, fault_policy=self.fault_policy, trace=trace,
                 dispatch="pipelined" if self.mode == "pipelined" else "barrier",
                 elastic=self.elastic,
             )
-            return SolveResult(
-                x=seq.x,
-                converged=seq.converged,
-                status="ok" if seq.converged else "max-iterations",
-                iterations=seq.iterations,
-                residual=seq.residual,
-                mode=self.mode,
-                nprocs=part.nprocs,
-                cache_stats=seq.cache_stats,
-                fault_stats=seq.fault_stats,
-                backend=seq.backend,
-                block_seconds=seq.block_seconds,
-                placement=seq.placement,
-                wire=seq.wire,
-                trace=seq.trace,
-                gate_wait_seconds=seq.gate_wait_seconds,
-            )
+            result.mode = self.mode
+            return result
 
         nprocs = self.processors or (len(cluster.hosts) if cluster is not None else 4)
         if cluster is None:
@@ -610,9 +518,6 @@ class MultisplittingSolver:
         plan, part = self._plan_and_partition(plan, partition, n, cluster, nprocs)
         scheme = self._resolve_weighting(part)
         runner = run_synchronous if self.mode == "synchronous" else run_asynchronous
-        cache_before = self.cache.stats.snapshot() if self.cache is not None else None
-        from repro.observe import resolve_trace
-
         tracer = resolve_trace(trace)
         executor = self._get_executor()
         if tracer is not None:
@@ -623,7 +528,7 @@ class MultisplittingSolver:
             if self.cache is not None:
                 self.cache.set_tracer(tracer)
         try:
-            run = runner(
+            result = runner(
                 A,
                 b,
                 part,
@@ -642,50 +547,8 @@ class MultisplittingSolver:
                 executor.set_tracer(None)
                 if self.cache is not None:
                     self.cache.set_tracer(None)
-        return SolveResult(
-            x=run.x,
-            converged=run.converged,
-            status=run.status,
-            iterations=run.iterations,
-            residual=run.residual,
-            mode=self.mode,
-            nprocs=run.nprocs,
-            per_proc_iterations=run.per_proc_iterations,
-            simulated_time=run.simulated_time,
-            factorization_time=run.factorization_time,
-            detection_messages=run.detection_messages,
-            stats=run.stats,
-            cache_stats=(
-                self.cache.stats.since(cache_before) if self.cache is not None else None
-            ),
-            fault_stats=self._fault_stats_from(run.stats),
-            backend=run.stats.backend if run.stats is not None else "inline",
-            block_seconds=dict(run.stats.block_seconds) if run.stats is not None else {},
-            placement=run.stats.placement if run.stats is not None else None,
-            wire=(
-                {
-                    "attach_payload_bytes": run.stats.attach_payload_bytes,
-                    "vector_bytes_sent": run.stats.vector_bytes_sent,
-                    "vector_bytes_received": run.stats.vector_bytes_received,
-                }
-                if run.stats is not None and run.stats.attach_payload_bytes
-                else {}
-            ),
-            trace=tracer,
-        )
-
-    @staticmethod
-    def _fault_stats_from(stats: RunStats | None):
-        """Rehydrate a FaultStats from a simulated run's counters (or None)."""
-        if stats is None or not (stats.workers_lost or stats.blocks_requeued):
-            return None
-        from repro.runtime.resilience import FaultStats
-
-        return FaultStats(
-            workers_lost=stats.workers_lost,
-            blocks_requeued=stats.blocks_requeued,
-            refactor_seconds=stats.refactor_seconds,
-        )
+        result.trace = tracer
+        return result
 
     def _plan_and_partition(
         self,

@@ -33,32 +33,13 @@ class TraceEvent:
 
 @dataclass
 class RunStats:
-    """Aggregated statistics of one simulated run.
+    """What the grid simulator measured over one run.
 
-    The ``cache_*`` fields surface the factorization-reuse counters of
-    :class:`repro.direct.cache.FactorizationCache` when a run was driven
-    through one: ``cache_misses`` is the number of sub-block
-    factorizations actually performed, ``cache_hits`` the number of
-    factor reuses on the hot path (one per sub-block per outer
-    iteration), and ``cache_factor_seconds_saved`` the wall-clock a
-    refactor-per-iteration implementation would have spent.  They stay at
-    their zero defaults for uncached runs.
-
-    ``backend``/``block_seconds`` surface the :mod:`repro.runtime`
-    execution backend of the run and the *real* (not simulated)
-    wall-clock seconds spent solving each block -- the bridge between
-    the simulator's charged times and where the host actually spent its
-    cycles.
-
-    ``placement`` is the scheduling plan the run was configured from
-    (the :meth:`repro.schedule.Placement.summary` dictionary: strategy,
-    band sizes, block-to-worker assignment, worker speeds/groups), or
-    ``None`` when the run used the legacy implicit layout.
-
-    The ``workers_lost`` / ``blocks_requeued`` / ``refactor_seconds``
-    fields mirror :class:`repro.runtime.resilience.FaultStats` for runs
-    whose real execution backend lost (and recovered) workers; they stay
-    at their zero defaults for fault-free runs.
+    Simulated quantities only: the makespan, compute time per process,
+    and the messages and bytes the simulated network carried.  The real
+    execution's provenance (cache, fault and wire counters, backend,
+    per-block solve seconds, placement) lives on the run's
+    :class:`repro.core.result.SolveResult`, not here.
     """
 
     makespan: float = 0.0
@@ -68,23 +49,6 @@ class RunStats:
     events_by_kind: Counter = field(default_factory=Counter)
     compute_time_by_pid: dict[int, float] = field(default_factory=dict)
     bytes_by_pair: dict[tuple[int, int], int] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_factor_seconds_saved: float = 0.0
-    cache_factor_seconds_spent: float = 0.0
-    backend: str = "inline"
-    block_seconds: dict[int, float] = field(default_factory=dict)
-    placement: dict | None = None
-    workers_lost: int = 0
-    blocks_requeued: int = 0
-    refactor_seconds: float = 0.0
-    #: Real wire accounting of the execution backend (distinct from the
-    #: *simulated* ``bytes_sent``): pickled attach payload per worker
-    #: rank and cumulative per-round vector traffic.  All zero/empty for
-    #: in-process backends, which move vectors by reference.
-    attach_payload_bytes: dict[int, int] = field(default_factory=dict)
-    vector_bytes_sent: int = 0
-    vector_bytes_received: int = 0
 
 
 class TraceRecorder:
@@ -108,12 +72,6 @@ class TraceRecorder:
         self._messages = 0
         self._bytes = 0
         self._last_time = 0.0
-        self._cache_stats = None
-        self._backend = "inline"
-        self._block_seconds: dict[int, float] = {}
-        self._placement: dict | None = None
-        self._fault_stats = None
-        self._wire: dict = {}
 
     def __call__(self, kind: str, time: float, **fields) -> None:
         self._counter[kind] += 1
@@ -129,49 +87,8 @@ class TraceRecorder:
         if self.keep_events and len(self.events) < self.keep_events:
             self.events.append(TraceEvent(kind, time, tuple(sorted(fields.items()))))
 
-    def record_cache(self, cache_stats) -> None:
-        """Attach factorization-cache counters to this run's statistics.
-
-        ``cache_stats`` is any object exposing the
-        :class:`repro.direct.cache.CacheStats` counter attributes
-        (typically a run-scoped delta); the solvers call this after the
-        simulation so :meth:`stats` reports factor reuse next to the
-        communication figures.
-        """
-        self._cache_stats = cache_stats
-
-    def record_runtime(self, backend: str, block_seconds: dict[int, float]) -> None:
-        """Attach the execution-backend name and real per-block solve seconds."""
-        self._backend = backend
-        self._block_seconds = dict(block_seconds)
-
-    def record_placement(self, summary: dict | None) -> None:
-        """Attach the scheduling plan the run was configured from."""
-        self._placement = summary
-
-    def record_wire(self, wire: dict | None) -> None:
-        """Attach the execution backend's real wire accounting.
-
-        ``wire`` is an :meth:`repro.runtime.api.Executor.wire_stats`
-        dictionary (``attach_payload_bytes`` / ``vector_bytes_sent`` /
-        ``vector_bytes_received``); empty or ``None`` for in-process
-        backends.
-        """
-        self._wire = dict(wire) if wire else {}
-
-    def record_faults(self, fault_stats) -> None:
-        """Attach the execution backend's fault-tolerance counters.
-
-        ``fault_stats`` is any object exposing the
-        :class:`repro.runtime.resilience.FaultStats` counter attributes
-        (or ``None`` for a backend that tracks no faults).
-        """
-        self._fault_stats = fault_stats
-
     def stats(self) -> RunStats:
         """Summarise everything recorded so far."""
-        c = self._cache_stats
-        f = self._fault_stats
         return RunStats(
             makespan=self._last_time,
             total_compute_time=sum(self._compute_by_pid.values()),
@@ -180,21 +97,6 @@ class TraceRecorder:
             events_by_kind=Counter(self._counter),
             compute_time_by_pid=dict(self._compute_by_pid),
             bytes_by_pair=dict(self._bytes_by_pair),
-            cache_hits=c.hits if c is not None else 0,
-            cache_misses=c.misses if c is not None else 0,
-            cache_factor_seconds_saved=c.factor_seconds_saved if c is not None else 0.0,
-            cache_factor_seconds_spent=c.factor_seconds_spent if c is not None else 0.0,
-            backend=self._backend,
-            block_seconds=dict(self._block_seconds),
-            placement=self._placement,
-            workers_lost=f.workers_lost if f is not None else 0,
-            blocks_requeued=f.blocks_requeued if f is not None else 0,
-            refactor_seconds=f.refactor_seconds if f is not None else 0.0,
-            attach_payload_bytes=dict(
-                self._wire.get("attach_payload_bytes", {})
-            ),
-            vector_bytes_sent=int(self._wire.get("vector_bytes_sent", 0)),
-            vector_bytes_received=int(self._wire.get("vector_bytes_received", 0)),
         )
 
     def events_of_kind(self, kind: str) -> list[TraceEvent]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
+from dataclasses import fields
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "render_metrics"]
 
@@ -196,71 +197,60 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help, labels, buckets=buckets)
 
     # -- unified ingestion: the old stat carriers become views ------------
-    def ingest_cache(self, stats, prefix: str = "repro_cache") -> None:
+    def _ingest_fields(self, prefix: str, carrier) -> None:
+        """Fold every numeric field of a stat carrier in.
+
+        ``carrier`` is a stats dataclass or a counters dict (``None`` or
+        empty: nothing to fold).  Each field lands on the counter
+        ``<prefix>_<field>_total``; a dict-valued field (per-worker
+        ``attach_payload_bytes``) contributes its sum, and a negative
+        delta (``factor_seconds_saved`` across an eviction) counts as
+        zero.  Walking the fields -- instead of naming them here -- is
+        what keeps the scrape complete when a carrier grows one.
+        """
+        if not carrier:
+            return
+        if not isinstance(carrier, dict):
+            carrier = {f.name: getattr(carrier, f.name) for f in fields(carrier)}
+        for name, value in carrier.items():
+            if isinstance(value, dict):
+                value = sum(value.values())
+            if isinstance(value, (int, float)):
+                self.counter(f"{prefix}_{name}_total").inc(max(0, value))
+
+    def ingest_cache(self, stats) -> None:
         """Fold a :class:`repro.direct.cache.CacheStats` delta in."""
-        if stats is None:
-            return
-        for attr in ("hits", "misses", "evictions", "invalidations"):
-            self.counter(f"{prefix}_{attr}_total").inc(getattr(stats, attr, 0))
-        self.counter(f"{prefix}_factor_seconds_spent_total").inc(
-            getattr(stats, "factor_seconds_spent", 0.0)
-        )
-        self.counter(f"{prefix}_factor_seconds_saved_total").inc(
-            max(0.0, getattr(stats, "factor_seconds_saved", 0.0))
-        )
+        self._ingest_fields("repro_cache", stats)
 
-    def ingest_faults(self, stats, prefix: str = "repro_fault") -> None:
-        """Fold a :class:`repro.runtime.resilience.FaultStats` in."""
-        if stats is None:
-            return
-        for attr in (
-            "workers_lost",
-            "blocks_requeued",
-            "respawns",
-            "delays_injected",
-            "replies_dropped",
-        ):
-            self.counter(f"{prefix}_{attr}_total").inc(getattr(stats, attr, 0))
-        self.counter(f"{prefix}_refactor_seconds_total").inc(
-            getattr(stats, "refactor_seconds", 0.0)
-        )
+    def ingest_result(self, result) -> None:
+        """Fold a finished solve (:class:`repro.core.result.SolveResult`) in.
 
-    def ingest_wire(self, wire: dict | None, prefix: str = "repro_wire") -> None:
-        """Fold an executor's ``wire_stats()`` dict in (byte counters)."""
-        if not wire:
-            return
-        attach = wire.get("attach_payload_bytes") or {}
-        total = sum(attach.values()) if isinstance(attach, dict) else float(attach)
-        self.counter(f"{prefix}_attach_payload_bytes_total").inc(total)
-        for key in ("vector_bytes_sent", "vector_bytes_received", "copies_avoided"):
-            self.counter(f"{prefix}_{key}_total").inc(wire.get(key, 0))
-        for key in ("serialize_seconds", "transmit_seconds"):
-            self.counter(f"{prefix}_{key}_total").inc(wire.get(key, 0.0))
-
-    def ingest_result(self, result, prefix: str = "repro_solve") -> None:
-        """Fold a finished solve (``SequentialResult``/``SolveResult``) in."""
+        Run counters land under ``repro_solve_*``; the result's
+        ``cache_stats``, ``fault_stats``
+        (:class:`repro.runtime.resilience.FaultStats`) and ``wire`` (an
+        executor's ``wire_stats()`` dict) under ``repro_cache_*``,
+        ``repro_fault_*`` and ``repro_wire_*``.
+        """
+        prefix = "repro_solve"
         self.counter(f"{prefix}_runs_total").inc()
-        self.counter(f"{prefix}_iterations_total").inc(
-            getattr(result, "iterations", 0) or 0
-        )
-        backend = getattr(result, "backend", None)
-        if backend:
-            self.counter(f"{prefix}_runs_by_backend_total", labels={"backend": backend}).inc()
-        for l, seconds in (getattr(result, "block_seconds", None) or {}).items():
+        self.counter(f"{prefix}_iterations_total").inc(result.iterations)
+        self.counter(
+            f"{prefix}_runs_by_backend_total", labels={"backend": result.backend}
+        ).inc()
+        for l, seconds in result.block_seconds.items():
             self.counter(
                 f"{prefix}_block_seconds_total", labels={"block": str(l)}
             ).inc(seconds)
-        self.counter(f"{prefix}_gate_wait_seconds_total").inc(
-            getattr(result, "gate_wait_seconds", 0.0) or 0.0
-        )
-        self.ingest_cache(getattr(result, "cache_stats", None))
-        self.ingest_faults(getattr(result, "fault_stats", None))
-        self.ingest_wire(getattr(result, "wire", None))
+        self.counter(f"{prefix}_gate_wait_seconds_total").inc(result.gate_wait_seconds)
+        self.ingest_cache(result.cache_stats)
+        self._ingest_fields("repro_fault", result.fault_stats)
+        self._ingest_fields("repro_wire", result.wire)
 
-    def ingest_serve(self, stats, prefix: str = "repro_serve") -> None:
+    def ingest_serve(self, stats) -> None:
         """Fold a completed :class:`repro.serve.metrics.ServeStats` in."""
         if stats is None:
             return
+        prefix = "repro_serve"
         self.counter(f"{prefix}_completed_total").inc(getattr(stats, "completed", 0))
         self.counter(f"{prefix}_shed_total").inc(getattr(stats, "shed", 0))
         self.counter(f"{prefix}_batches_total").inc(getattr(stats, "batches", 0))
@@ -273,13 +263,13 @@ class MetricsRegistry:
             hist.observe(latency)
         self.ingest_cache(getattr(stats, "cache_stats", None))
 
-    def ingest_spans(self, spans, prefix: str = "repro_span") -> None:
+    def ingest_spans(self, spans) -> None:
         """Fold a span list in: counts per name, seconds per category."""
         for span in spans:
-            self.counter(f"{prefix}s_total", labels={"name": span.name}).inc()
+            self.counter("repro_spans_total", labels={"name": span.name}).inc()
             if span.dur > 0:
                 self.histogram(
-                    f"{prefix}_seconds", labels={"cat": span.cat}
+                    "repro_span_seconds", labels={"cat": span.cat}
                 ).observe(span.dur)
 
     # -- scrape ----------------------------------------------------------

@@ -24,8 +24,10 @@ the **true residual** satisfies ``||b - A x||_inf <= tol * max(1,
 ||A||_inf)`` -- the same scale-invariant soundness rule the chaotic
 driver uses, so a quiet-but-wrong state can never report convergence.
 
-The result is a :class:`~repro.core.sequential.SequentialResult` whose
-``history`` holds the sampled residuals.  Iterate *paths* are
+The fold, the core-iterate assembly, the residual threshold and the
+result come from the same :class:`~repro.core.session.RunSession` the
+round-based schedules run on; only the thread supervisor is this
+driver's own.  The result's ``history`` holds the sampled residuals.  Iterate *paths* are
 scheduling-dependent (that is the point), but every run under Theorem
 1's asynchronous condition converges to the same solution; the
 regression tests assert cross-backend agreement within tolerance.
@@ -39,17 +41,24 @@ import time
 import numpy as np
 
 from repro.core.partition import GeneralPartition
-from repro.core.sequential import SequentialResult
+from repro.core.result import SolveResult
+from repro.core.session import RunSession
 from repro.core.stopping import StoppingCriterion
-from repro.core.local import build_local_systems
 from repro.core.weighting import WeightingScheme
 from repro.direct.base import DirectSolver
 from repro.direct.cache import FactorizationCache
 from repro.linalg.norms import residual_norm
-from repro.observe import resolve_trace
+from repro.runtime.inline import InlineExecutor
+from repro.runtime.resilience import FaultStats
 from repro.runtime.seqlock import VersionedVector
 
 __all__ = ["async_iterate"]
+
+#: Consecutive failures (no successful solve in between) after which a
+#: block is declared permanently broken and the run aborts with the
+#: original error -- otherwise a deterministic kernel fault (e.g. a
+#: singular sub-block) would respawn-and-fail in a tight loop forever.
+_MAX_CONSECUTIVE_FAILURES = 3
 
 
 def async_iterate(
@@ -67,8 +76,7 @@ def async_iterate(
     quiescence_timeout: float = 0.5,
     fault_policy=None,
     trace=None,
-    elastic=None,
-) -> SequentialResult:
+) -> SolveResult:
     """Solve ``A x = b`` with one free-running thread per block.
 
     Parameters
@@ -112,89 +120,61 @@ def async_iterate(
         ``block-N`` lanes, monitor residual samples, and respawn fault
         events.  Purely observational -- the iterate path is whatever
         the scheduler produced either way.
-    elastic:
-        Accepted for signature parity with the synchronous drivers and
-        ignored with a warning: this driver runs one free-running
-        thread per block with no executor fleet underneath -- there is
-        no membership to grow or shrink, and no quiescent round
-        boundary to migrate at.
     """
-    if elastic:
-        import warnings
-
-        warnings.warn(
-            "async_iterate has no worker fleet; elastic= is a no-op "
-            "(one free-running thread per block)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     stopping = stopping or StoppingCriterion(consecutive=3)
-    tracer = resolve_trace(trace)
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1:
+    if np.ndim(b) != 1:
         raise ValueError(
             "async_iterate solves one right-hand side; use "
             "multisplitting_iterate for batched (n, k) blocks"
         )
-    L = partition.nprocs
-    cache_before = cache.stats.snapshot() if cache is not None else None
-    if cache is not None and tracer is not None:
-        cache.set_tracer(tracer)
-    if tracer is not None:
-        t_attach = tracer.now()
-    systems = build_local_systems(A, b, partition.sets, solver, cache=cache)
-    if tracer is not None:
-        tracer.add(
-            "attach", "compute", t_attach, tracer.now() - t_attach,
-            lane="driver", blocks=L,
+    # The block threads solve straight off an inline binding's systems:
+    # the session factors them (through ``cache``) at attach.
+    with RunSession(
+        A, b, partition, weighting, solver, stopping=stopping, x0=x0,
+        cache=cache, executor=InlineExecutor(), trace=trace,
+    ) as run:
+        return _free_run(
+            run, poll_interval, monitor_interval, quiescence_timeout, fault_policy
         )
-    z0 = np.zeros(b.shape) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if z0.shape != b.shape:
-        raise ValueError(f"x0 must have shape {b.shape}")
-    weights = [weighting.update_weights(l) for l in range(L)]
 
-    slots = [VersionedVector(z0[partition.sets[l]]) for l in range(L)]
+
+def _free_run(
+    run: RunSession, poll_interval, monitor_interval, quiescence_timeout, fault_policy
+) -> SolveResult:
+    """One free-running thread per block, monitored from this thread."""
+    A, b, tracer, stopping = run.A, run.b, run.tracer, run.stopping
+    L = run.nblocks
+    systems = run.ex.systems
+    slots = [VersionedVector(run.z0[J]) for J in run.partition.sets]
     stop_event = threading.Event()
     counts = [0] * L
     solving = [False] * L
     errors: list[BaseException] = []
-    from repro.runtime.resilience import FaultStats
-
     fault = FaultStats()
     fault_lock = threading.Lock()
-
-    row_sums = np.abs(A).sum(axis=1)
-    norm_A = float(np.max(np.asarray(row_sums))) if partition.n else 0.0
-    residual_tolerance = stopping.tolerance * max(1.0, norm_A)
-
-    #: Consecutive failures (no successful solve in between) after which
-    #: a block is declared permanently broken and the run aborts with the
-    #: original error -- otherwise a deterministic kernel fault (e.g. a
-    #: singular sub-block) would respawn-and-fail in a tight loop forever.
-    _MAX_CONSECUTIVE_FAILURES = 3
+    residual_tolerance = run.residual_threshold()
 
     def worker(l: int) -> None:
-        my_weights = weights[l]
         it = 0
         consecutive_failures = 0
+        seen: dict[int, int] = {}  # version of each piece the last fold read
+
+        def latest(k: int) -> np.ndarray:
+            piece_k, seen[k] = slots[k].read()
+            return piece_k
+
         while True:  # supervisor: one lap per (re)spawned incarnation
-            last_seen = {k: -1 for k in my_weights}
+            last_seen: dict[int, int] = {}
             prev_piece: np.ndarray | None = None
             try:
                 while not stop_event.is_set() and it < stopping.max_iterations:
-                    z = np.zeros(b.shape)
-                    changed = False
-                    for k, w in my_weights.items():
-                        piece_k, version = slots[k].read()
-                        if version != last_seen[k]:
-                            changed = True
-                            last_seen[k] = version
-                        z[partition.sets[k]] += w * piece_k
-                    if not changed and prev_piece is not None:
+                    z = run.fold(l, latest)
+                    if seen == last_seen and prev_piece is not None:
                         # Identical inputs reproduce the piece bit-for-bit;
                         # skip the no-op solve and poll again.
                         time.sleep(poll_interval)
                         continue
+                    last_seen = dict(seen)
                     solving[l] = True
                     t0 = time.perf_counter()
                     try:
@@ -259,16 +239,8 @@ def async_iterate(
                 time.sleep(poll_interval)
                 continue
 
-    core_sel = [
-        np.isin(partition.sets[l], partition.core[l]) for l in range(L)
-    ]
-
-    def assemble() -> np.ndarray:
-        x = np.empty(partition.n)
-        for l, core in enumerate(partition.core):
-            piece, _ = slots[l].read()
-            x[core] = piece[core_sel[l]]
-        return x
+    def published() -> np.ndarray:
+        return run.assemble([slot.read()[0] for slot in slots])
 
     threads = [
         threading.Thread(target=worker, args=(l,), name=f"repro-async-{l}")
@@ -277,14 +249,13 @@ def async_iterate(
     for t in threads:
         t.start()
 
-    history: list[float] = []
+    history = run.history
     converged = False
     quiet_state: tuple | None = None
     quiet_since = 0.0
     try:
         while True:
-            x = assemble()
-            value = residual_norm(A, x, b)
+            value = residual_norm(A, published(), b)
             history.append(value)
             if tracer is not None:
                 tracer.event(
@@ -313,20 +284,13 @@ def async_iterate(
         stop_event.set()
         for t in threads:
             t.join()
-        if cache is not None and tracer is not None:
-            cache.set_tracer(None)
     if errors:
         raise errors[0]
-
-    x = assemble()
-    return SequentialResult(
-        x=x,
+    return run.result(
+        converged,
+        x=published(),
         iterations=max(counts) if counts else 0,
-        converged=converged,
-        history=history,
-        residual=residual_norm(A, x, b),
-        cache_stats=cache.stats.since(cache_before) if cache is not None else None,
         fault_stats=fault if (fault_policy is not None or fault.any_faults) else None,
         backend="threads",
-        trace=tracer,
+        block_seconds={},
     )

@@ -23,7 +23,7 @@ subsystem:
   :class:`~repro.runtime.SocketExecutor`.
 * :class:`FaultStats` -- observable counters (``workers_lost``,
   ``blocks_requeued``, ``respawns``, ``refactor_seconds``, ...) surfaced
-  on ``SequentialResult``/``SolveResult``/``RunStats`` exactly like the
+  on the run's ``SolveResult.fault_stats`` exactly like the
   factor-cache counters.
 * :class:`FaultInjector` / :class:`ChaosExecutor` -- a deterministic
   (seeded) fault-injection wrapper that conforms to the

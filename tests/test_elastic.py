@@ -97,18 +97,6 @@ class TestNoOpContract:
         finally:
             ex.close()
 
-    def test_async_iterate_warns_elastic_ignored(self):
-        from repro.runtime.asynchronous import async_iterate
-
-        A, b, part, scheme = _general_problem("band", n=48, L=2)
-        with pytest.warns(RuntimeWarning, match="no worker fleet"):
-            res = async_iterate(
-                A, b, part, scheme, get_solver("scipy"),
-                stopping=StoppingCriterion(tolerance=1e-8),
-                elastic=True,
-            )
-        assert res.converged
-
     def test_pipelined_dispatch_ignores_elastic(self):
         A, b, part, scheme = _general_problem("band", n=48, L=2)
         with pytest.warns(RuntimeWarning, match="pipelined"):

@@ -292,6 +292,51 @@ class TestMetricsRegistry:
         assert "repro_cache_misses_total" in text
         assert 'repro_spans_total{name="round"}' in text
 
+    def test_ingest_renders_every_field_of_every_carrier(self):
+        """The scrape walks the carriers' fields, so a counter a carrier
+        grows (PR 10's elastic counters, ``spec_pickles_reused``) cannot
+        be silently dropped."""
+        from dataclasses import fields, replace
+
+        from repro.core.result import SolveResult
+        from repro.direct.cache import CacheStats
+        from repro.runtime import FaultStats
+
+        def all_set(carrier):
+            names = [f.name for f in fields(carrier)]
+            return replace(carrier, **{n: i + 1 for i, n in enumerate(names)}), names
+
+        cache_stats, cache_names = all_set(CacheStats())
+        fault_stats, fault_names = all_set(FaultStats())
+        wire = {
+            "attach_payload_bytes": {0: 40, 1: 2},
+            "vector_bytes_sent": 7,
+            "spec_pickles_reused": 3,
+        }
+        reg = MetricsRegistry()
+        reg.ingest_result(SolveResult(
+            x=None, converged=True, status="ok", iterations=5, residual=0.0,
+            cache_stats=cache_stats, fault_stats=fault_stats, wire=wire,
+        ))
+        text = reg.render()
+        for i, name in enumerate(cache_names):
+            assert f"repro_cache_{name}_total {i + 1}\n" in text
+        for i, name in enumerate(fault_names):
+            assert f"repro_fault_{name}_total {i + 1}\n" in text
+        assert "repro_fault_blocks_migrated_total" in text
+        assert "repro_wire_attach_payload_bytes_total 42\n" in text
+        assert "repro_wire_vector_bytes_sent_total 7\n" in text
+        assert "repro_wire_spec_pickles_reused_total 3\n" in text
+
+    def test_negative_saved_seconds_delta_counts_as_zero(self):
+        from repro.direct.cache import CacheStats
+
+        reg = MetricsRegistry()
+        reg.ingest_cache(CacheStats(hits=2, factor_seconds_saved=-0.5))
+        text = reg.render()
+        assert "repro_cache_hits_total 2\n" in text
+        assert "repro_cache_factor_seconds_saved_total 0\n" in text
+
 
 # ---------------------------------------------------------------------------
 # tracing is observational: bit-identical iterates, bounded overhead
@@ -314,6 +359,33 @@ class TestTracingIsObservational:
         counts = tracer.counts()
         assert counts.get("round") == 12
         assert counts.get("solve", 0) >= 12 * 4  # every block, every round
+
+    @pytest.mark.parametrize("driver", ["barrier", "chaotic", "async"])
+    def test_rejected_call_leaves_no_tracer_installed(self, driver):
+        """A call refused on its arguments must not leave its tracer on
+        the caller's executor or shared cache (later untraced runs would
+        keep feeding it)."""
+        from repro.core import chaotic_iterate
+        from repro.runtime import async_iterate
+
+        A, b, part, scheme = _problem()
+        cache = FactorizationCache()
+        args = (A, b, part, scheme, get_solver("scipy"))
+        bad = dict(x0=np.zeros(3), trace=True, cache=cache)
+        with get_executor("inline") as ex, pytest.raises(ValueError, match="x0"):
+            if driver == "barrier":
+                multisplitting_iterate(*args, executor=ex, **bad)
+            elif driver == "chaotic":
+                chaotic_iterate(*args, executor=ex, **bad)
+            else:
+                async_iterate(*args, **bad)
+        assert ex.tracer is None
+        assert cache._tracer is None
+        assert cache.stats.misses == 0  # refused before any side effect
+        # ...and a traced run that completes unwinds the same way.
+        _solve(executor=ex, trace=True, cache=cache)
+        assert ex.tracer is None
+        assert cache._tracer is None
 
     def test_overhead_budget_inline(self):
         """Inline traced wall-clock stays within 5% of untraced (+ jitter floor)."""

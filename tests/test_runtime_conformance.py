@@ -375,6 +375,47 @@ class TestPipelinedDispatchConformance:
             )
 
 
+class TestSchedulesAreOneIteration:
+    """Barrier, pipelined and chaotic are one iteration body under three
+    schedules (``repro.core.session``): with its delays and skips turned
+    off the chaotic schedule *is* the barrier one, and the facade hands
+    back the driver's own record."""
+
+    @pytest.mark.parametrize("weighting", ["ownership", "averaging", "schwarz"])
+    def test_chaotic_without_chaos_is_the_barrier(self, weighting):
+        A = diagonally_dominant(96, dominance=1.5, bandwidth=4, seed=5)
+        b, _ = rhs_for_solution(A, seed=6)
+        part = uniform_bands(96, 4, overlap=6).to_general()
+        scheme = make_weighting(weighting, part)
+        stopping = StoppingCriterion(tolerance=1e-300, max_iterations=8)
+        ref = multisplitting_iterate(
+            A, b, part, scheme, get_solver("scipy"), stopping=stopping
+        )
+        res = chaotic_iterate(
+            A, b, part, scheme, get_solver("scipy"), stopping=stopping,
+            max_delay=0, update_probability=1.0,
+        )
+        assert res.history == ref.history[: len(res.history)]
+        assert len(res.history) == 8
+        np.testing.assert_array_equal(res.x, ref.x)
+
+    @pytest.mark.parametrize("mode", ["sequential", "pipelined"])
+    def test_facade_returns_the_drivers_history(self, mode):
+        from repro.core.solver import MultisplittingSolver
+
+        A, b, part, scheme = _problem()
+        facade = MultisplittingSolver(4, mode=mode)
+        res = facade.solve(A, b, partition=part)
+        ref = multisplitting_iterate(
+            A, b, part, scheme, get_solver("scipy"), stopping=facade.stopping,
+            dispatch="pipelined" if mode == "pipelined" else "barrier",
+        )
+        assert res.mode == mode
+        assert res.history and res.history == ref.history
+        assert res.dispatch == ref.dispatch
+        np.testing.assert_array_equal(res.x, ref.x)
+
+
 class TestCrashSafety:
     """Satellite regression: a dead worker must not hang (or fail) close."""
 

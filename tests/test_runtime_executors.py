@@ -252,8 +252,23 @@ class TestSolverFacadeBackend:
             res = solver.solve(A, b, cluster=cluster1(4))
             assert res.converged
             assert res.backend == "threads"
-            assert res.stats.backend == "threads"
-            assert sum(res.stats.block_seconds.values()) > 0.0
+            assert sum(res.block_seconds.values()) > 0.0
+
+    def test_simulated_run_does_not_report_the_fleets_previous_binding(self):
+        """The simulated modes never attach the backend, so they have no
+        wire traffic or faults of their own -- a reused fleet executor's
+        counters from an earlier sequential solve must not resurface."""
+        A, b, part, scheme = _problem()
+        with ProcessExecutor(max_workers=2) as ex:
+            seq = MultisplittingSolver(4, mode="sequential", backend=ex).solve(A, b)
+            assert seq.wire["vector_bytes_sent"] > 0
+            assert seq.fault_stats is not None
+            sim = MultisplittingSolver(4, mode="synchronous", backend=ex).solve(
+                A, b, cluster=cluster1(4)
+            )
+        assert sim.converged and sim.backend == "processes"
+        assert sim.wire == {}
+        assert sim.fault_stats is None
 
     def test_executor_instance_not_owned(self):
         A, b, part, scheme = _problem()

@@ -394,7 +394,7 @@ class TestSharedPlanEndToEnd:
             A, b, part, scheme, get_solver("scipy"), c, placement=plan
         )
         assert run.converged
-        recorded = dict(run.stats.placement)
+        recorded = dict(run.placement)
         # Provenance names the actual hosts: by-name mapping for a plan
         # built from this very cluster.
         assert recorded.pop("hosts") == [w.name for w in plan.workers]
