@@ -5,10 +5,10 @@ For processor ``l`` with extended set ``J_l``, the iteration solves
     ``ASub * XSub = BSub - DepLeft * XLeft - DepRight * XRight``
 
 which, for general index sets, is ``A[J_l, J_l] x_J = b[J_l] - A[J_l, ~J_l]
-z[~J_l]``.  We store the coupling block ``Dep = A[J_l, :]`` with the
-``J_l`` columns zeroed, so the right-hand side update is a single sparse
+z[~J_l]``.  We store the coupling block ``Dep = A[J_l, :]`` without its
+``J_l`` columns, so the right-hand side update is a single sparse
 mat-vec against the *full* local copy ``z`` (entries under ``J_l`` are
-multiplied by stored zeros and cost nothing: the matrix is pruned).
+not stored and cost nothing: the matrix is pruned).
 
 ``ASub`` is factorized **once** (Remark 4); every call to
 :meth:`LocalSystem.solve_with` reuses the factors, and the handle exposes
@@ -51,7 +51,8 @@ class LocalSystem:
     factorization:
         Direct-kernel handle for ``A[J_l, J_l]``.
     dep:
-        ``A[J_l, :]`` with ``J_l`` columns zeroed and pruned (CSR).
+        ``A[J_l, :]`` without the ``J_l`` columns (canonical CSR, no
+        stored zeros; see :func:`build_local_system`).
     b_sub:
         ``b[J_l]`` -- shape ``(|J_l|,)`` or ``(|J_l|, k)`` for batched
         right-hand sides.
@@ -170,6 +171,15 @@ def build_local_system(
     ``b_sub`` (``b[J_l]``) instead and leave ``csr``/``b`` as ``None``.
     Both construction paths produce identical systems (and identical
     cache keys, so factor reuse across re-attaches is preserved).
+
+    Set-up is one pass over the band's CSR arrays -- a boolean column
+    lookup, no format change.  ``dep`` is canonical whatever the input
+    looked like: row-wise sorted indices, duplicates summed, stored and
+    summed-to zeros dropped, so its columns are exactly
+    :meth:`~repro.core.partition.GeneralPartition.boundary_columns` and
+    iterates, cache keys and ``rhs_flops`` do not depend on how ``A``
+    was assembled.  ``a_sub`` is sliced from the same canonical band.
+    The caller's ``band`` and ``b_sub`` are only read.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if band is None:
@@ -183,11 +193,18 @@ def build_local_system(
     if b_sub is None:
         b_sub = b[rows]
     b_sub = np.asarray(b_sub, dtype=float).copy()
+    if not band.has_canonical_format:
+        # ``band`` may be the caller's own object: canonicalise a copy.
+        band = band.copy()
+        band.sum_duplicates()
     a_sub = band[:, rows].tocsc()
-    dep = band.tolil(copy=True)
-    dep[:, rows] = 0.0
-    dep = dep.tocsr()
-    dep.eliminate_zeros()
+    outside = np.ones(band.shape[1], dtype=bool)
+    outside[rows] = False
+    keep = outside[band.indices] & (band.data != 0)
+    indptr = np.concatenate(([0], np.cumsum(keep)))[band.indptr]
+    dep = sp.csr_matrix(
+        (band.data[keep], band.indices[keep], indptr), shape=band.shape
+    )
     if cache is not None:
         key = cache.key_for(solver, a_sub)
         fact = cache.factor(solver, a_sub, key=key)

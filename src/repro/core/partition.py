@@ -107,12 +107,14 @@ class GeneralPartition:
 
         Exactly the non-zero columns of the pruned coupling block each
         :class:`~repro.core.local.LocalSystem` stores (``A[J_l, :]``
-        with the ``J_l`` columns zeroed and ``eliminate_zeros`` applied)
-        -- explicitly stored zeros are ignored here too, so the
-        pattern-level derivation and the built systems always describe
-        the same dependency graph.  This is the one source of truth
-        shared by :meth:`dependencies` and the scheduler's a-priori path
-        of :func:`repro.core.distributed.communication_pattern`.
+        with duplicates summed, masked to the entries outside the
+        ``J_l`` columns whose value is non-zero) -- stored and
+        summed-to zeros are ignored here too, so the pattern-level
+        derivation and the built systems always describe the same
+        dependency graph (``tests/test_core_local_build.py`` holds the
+        two together).  This is the one source of truth shared by
+        :meth:`dependencies` and the scheduler's a-priori path of
+        :func:`repro.core.distributed.communication_pattern`.
         """
         csr = as_csr(A)
         out: list[np.ndarray] = []
@@ -120,6 +122,7 @@ class GeneralPartition:
             inside = np.zeros(self.n, dtype=bool)
             inside[J] = True
             sub = csr[J, :]
+            sub.sum_duplicates()
             cols = np.unique(sub.indices[sub.data != 0])
             out.append(cols[~inside[cols]].astype(np.int64))
         return out

@@ -111,7 +111,37 @@ class TestPoisson:
             poisson_3d(2, 0, 2)
 
 
+def _advection_diffusion_loop(nx: int, ny: int, peclet: float) -> sp.csr_matrix:
+    """The entry-by-entry builder ``advection_diffusion_2d`` used to be."""
+    A = sp.lil_matrix((nx * ny, nx * ny))
+    for j in range(ny):
+        for i in range(nx):
+            k = j * nx + i
+            if i > 0:
+                A[k, k - 1] = -1.0 - peclet
+            if i < nx - 1:
+                A[k, k + 1] = -1.0
+            if j > 0:
+                A[k, k - nx] = -1.0 - peclet
+            if j < ny - 1:
+                A[k, k + nx] = -1.0
+            A[k, k] = 4.0 + 2.0 * peclet
+    return A.tocsr()
+
+
 class TestAdvectionDiffusion:
+    @pytest.mark.parametrize(
+        "nx, ny, peclet",
+        [(1, 1, 0.5), (1, 4, 0.1), (3, 1, 3.7), (2, 2, 0.0), (5, 3, 0.7), (4, 7, 1e-3)],
+    )
+    def test_equals_the_loop_builder(self, nx, ny, peclet):
+        A = advection_diffusion_2d(nx, ny, peclet=peclet)
+        want = _advection_diffusion_loop(nx, ny, peclet)
+        assert A.format == "csr" and A.shape == want.shape
+        assert A.dtype == want.dtype and A.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(A, name), getattr(want, name))
+
     def test_nonsymmetric(self):
         A = advection_diffusion_2d(5, peclet=1.0)
         assert (A != A.T).nnz > 0

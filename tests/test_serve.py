@@ -7,11 +7,15 @@ no pytest plugin is required.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import gc
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from repro.core.local import LocalSystem
+from repro.direct.base import Factorization
 from repro.direct.cache import FactorizationCache
 from repro.matrices import diagonally_dominant
 from repro.serve import (
@@ -354,6 +358,54 @@ class TestGateway:
         stats = gw.stats(wall_seconds=1.0)
         assert stats.batches == 4
         assert stats.mean_batch_size == pytest.approx(1.0)
+
+
+class TestGatewayRetention:
+    def test_census_after_mixed_traffic(self):
+        """Hot and cold tenants with the cold set twice the factor cache
+        (every cold round evicts): once drained, what is left alive is
+        the cache's own capacity in factorizations and nothing per
+        request -- no local system, pending request or future."""
+        kinds = (
+            Factorization, LocalSystem, PendingRequest,
+            asyncio.Future, concurrent.futures.Future,
+        )
+
+        def census():
+            gc.collect()
+            live = gc.get_objects()
+            return [sum(isinstance(o, kind) for o in live) for kind in kinds]
+
+        processors, capacity = 4, 8
+        before = census()
+        pool = SolverPool(size=2, processors=processors, cache_capacity=capacity)
+        try:
+            gw = ServeGateway(pool, window=0.002, max_batch=4)
+            hot = gw.register(_matrix(seed=1))
+            cold = [gw.register(_matrix(seed=10 + i)) for i in range(4)]
+            assert processors * len(cold) == 2 * capacity
+            rng = np.random.default_rng(5)
+
+            async def client(keys, requests):
+                for i in range(requests):
+                    await gw.submit(keys[i % len(keys)], rng.standard_normal(96))
+
+            async def scenario():
+                await asyncio.gather(
+                    *(client([hot], 20) for _ in range(3)),
+                    *(client(cold[i:] + cold[:i], 12) for i in range(2)),
+                )
+                await gw.drain()
+
+            asyncio.run(scenario())
+            stats = gw.stats(wall_seconds=1.0)
+            assert stats.completed == 84 and stats.shed == 0
+            assert pool.cache_stats().evictions > 0
+            factorizations, *per_request = np.subtract(census(), before)
+            assert factorizations <= capacity
+            assert all(count <= 0 for count in per_request)
+        finally:
+            pool.close()
 
 
 class TestOpenLoop:
