@@ -35,7 +35,45 @@ from repro.direct.base import DirectSolver, Factorization
 from repro.direct.cache import CacheKey, FactorizationCache
 from repro.linalg.sparse import as_csr
 
-__all__ = ["LocalSystem", "build_local_system", "build_local_systems"]
+__all__ = [
+    "LocalSystem",
+    "build_local_system",
+    "build_local_systems",
+    "dep_entries",
+    "halo_columns",
+]
+
+
+def dep_entries(band: sp.csr_matrix, rows: np.ndarray):
+    """What ``Dep`` keeps of ``band = A[J_l, :]``: the one derivation.
+
+    Returns ``(band, keep)``: the band in canonical form (a *copy* when
+    the input had unsorted indices or duplicates -- the caller's object
+    is only read) and the boolean mask over its stored entries that
+    selects the coupling block: entries outside the ``J_l`` columns
+    whose (duplicate-summed) value is non-zero.
+    """
+    if not band.has_canonical_format:
+        band = band.copy()
+        band.sum_duplicates()
+    outside = np.ones(band.shape[1], dtype=bool)
+    outside[rows] = False
+    return band, outside[band.indices] & (band.data != 0)
+
+
+def halo_columns(band: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
+    """Sorted columns of the full iterate that block ``J_l``'s solve reads.
+
+    The non-zero columns of ``Dep_l`` -- what Algorithm 1 receives as
+    ``XLeft``/``XRight``.  :func:`build_local_system`'s ``dep``,
+    :meth:`~repro.core.partition.GeneralPartition.boundary_columns` and
+    the fleets' per-round halo all come from :func:`dep_entries`, so
+    they describe the same dependency graph by construction.
+    """
+    band, keep = dep_entries(band, rows)
+    read = np.zeros(band.shape[1], dtype=bool)
+    read[band.indices[keep]] = True
+    return np.flatnonzero(read)
 
 
 @dataclass
@@ -193,14 +231,8 @@ def build_local_system(
     if b_sub is None:
         b_sub = b[rows]
     b_sub = np.asarray(b_sub, dtype=float).copy()
-    if not band.has_canonical_format:
-        # ``band`` may be the caller's own object: canonicalise a copy.
-        band = band.copy()
-        band.sum_duplicates()
+    band, keep = dep_entries(band, rows)
     a_sub = band[:, rows].tocsc()
-    outside = np.ones(band.shape[1], dtype=bool)
-    outside[rows] = False
-    keep = outside[band.indices] & (band.data != 0)
     indptr = np.concatenate(([0], np.cumsum(keep)))[band.indptr]
     dep = sp.csr_matrix(
         (band.data[keep], band.indices[keep], indptr), shape=band.shape

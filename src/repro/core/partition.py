@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.local import halo_columns
 from repro.linalg.sparse import as_csr
 
 __all__ = [
@@ -117,15 +118,7 @@ class GeneralPartition:
         :func:`repro.core.distributed.communication_pattern`.
         """
         csr = as_csr(A)
-        out: list[np.ndarray] = []
-        for J in self.sets:
-            inside = np.zeros(self.n, dtype=bool)
-            inside[J] = True
-            sub = csr[J, :]
-            sub.sum_duplicates()
-            cols = np.unique(sub.indices[sub.data != 0])
-            out.append(cols[~inside[cols]].astype(np.int64))
-        return out
+        return [halo_columns(csr[J, :], J) for J in self.sets]
 
     def dependencies(self, A) -> list[list[int]]:
         """Return ``deps[l]`` = processors whose core values ``l`` reads.

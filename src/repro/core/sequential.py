@@ -51,11 +51,10 @@ __all__ = ["multisplitting_iterate", "chaotic_iterate"]
 
 def _barrier_rounds(run: RunSession) -> SolveResult:
     """The paper's synchronous mode verbatim: every round waits for all blocks."""
-    blocks = range(run.nblocks)
-    Z = [run.z0.copy() for _ in blocks]
+    Z = [run.z0] * run.nblocks
     for it in range(1, run.stopping.max_iterations + 1):
         pieces = run.round(it, run.ex.solve_round, Z)
-        Z = [run.fold(l, pieces.__getitem__) for l in blocks]
+        Z = run.fold_round(pieces)
         if run.observe(it, pieces):
             return run.result(True)
         if run.controller is not None:

@@ -11,7 +11,8 @@ the part that does not depend on the schedule:
   elastic controller; and on every exit path ``detach``, remove the
   tracer, close an executor the session created;
 * three primitives over that binding -- :meth:`~RunSession.fold` (the
-  local-copy combine ``z^l = sum_k E_lk piece_k``),
+  local-copy combine ``z^l = sum_k E_lk piece_k``; a barrier round's
+  ``L`` of them are :meth:`~RunSession.fold_round`),
   :meth:`~RunSession.observe` ("a round was folded": assemble the core
   iterate, monitor value, history, callback, stop test) and
   :meth:`~RunSession.result` (the one :class:`SolveResult` assembly).
@@ -103,6 +104,14 @@ class RunSession:
              for k, w in weighting.update_weights(l).items()}
             for l in range(L)
         ]
+        #: ``E_lk = E_k`` (ownership, O'Leary-White averaging, Schwarz
+        #: without overlap): every block folds the same terms in the same
+        #: order, so a barrier round has one local copy, not ``L``.
+        self._one_fold = all(
+            list(w) == list(self.weights[0])
+            and all(np.array_equal(w[k], w0) for k, w0 in self.weights[0].items())
+            for w in self.weights[1:]
+        )
         self._core_sel = [np.isin(partition.sets[l], partition.core[l]) for l in range(L)]
         self.state = stopping.new_state()
         self.controller = None
@@ -151,6 +160,20 @@ class RunSession:
         for k, w in self.weights[l].items():
             z[sets[k]] += w * piece_of(k)
         return z
+
+    def fold_round(self, pieces) -> list[np.ndarray]:
+        """Every block's local copy after a barrier round of ``pieces``.
+
+        When the weighting does not depend on the reader the ``L``
+        copies are one array: it is folded once, marked read-only and
+        handed to every block (executors only read their ``z``).
+        Otherwise each block folds its own.
+        """
+        if not self._one_fold:
+            return [self.fold(l, pieces.__getitem__) for l in range(self.nblocks)]
+        z = self.fold(0, pieces.__getitem__)
+        z.flags.writeable = False
+        return [z] * self.nblocks
 
     def assemble(self, pieces) -> np.ndarray:
         """The global estimate from the owned (core) components."""

@@ -93,7 +93,7 @@ class SolveStream:
         self.close()
 
 
-def owned_rows_spec(csr, b, sets, solvers, owned, use_cache: bool) -> dict:
+def owned_rows_spec(bands, halos, b, sets, solvers, owned, use_cache: bool) -> dict:
     """One worker's owned-rows slice of a binding (the attach payload).
 
     The single definition of what the distributed backends ship: each
@@ -101,11 +101,15 @@ def owned_rows_spec(csr, b, sets, solvers, owned, use_cache: bool) -> dict:
     (arbitrary index sets, not just contiguous bands) plus the index
     sets and kernels needed to rebuild the systems worker-side via
     :func:`repro.core.local.build_local_system` -- never the full
-    matrix.  :mod:`repro.runtime.fleet` pickles it once per owned set
-    and ships the bytes in every binding frame.
+    matrix -- and each block's *halo*, the columns of the iterate its
+    solve reads (:func:`repro.core.local.halo_columns`), which is all a
+    round then moves.  ``bands[l]`` is ``A[J_l, :]``, sliced once per
+    binding by :mod:`repro.runtime.fleet`, which pickles the spec once
+    per owned set and ships the bytes in every binding frame.
     """
     return {
-        "bands": {l: csr[sets[l], :].tocsr() for l in owned},
+        "bands": {l: bands[l] for l in owned},
+        "halos": {l: halos[l] for l in owned},
         "b_subs": {l: b[sets[l]] for l in owned},
         "sets": {l: sets[l] for l in owned},
         "solvers": {l: solvers[l] for l in owned},
@@ -218,14 +222,20 @@ class Executor(abc.ABC):
 
         ``z_l`` is block ``l``'s full-length local copy (shape ``(n,)`` or
         ``(n, k)`` for batched right-hand sides, matching the ``b`` the
-        binding was attached with).  Returns the solution pieces over each
-        block's extended index set, **in request order** -- this ordering
-        guarantee is what makes the synchronous drivers bit-identical
-        across backends.
+        binding was attached with).  It is only ever *read*: the drivers
+        hand read-only arrays, and the same one to several blocks, when
+        the weighting gives them equal local copies.  Returns the
+        solution pieces over each block's extended index set, **in
+        request order** -- this ordering guarantee is what makes the
+        synchronous drivers bit-identical across backends.
         """
 
     def solve_round(self, Z: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """One synchronous outer iteration: solve every block ``l`` on ``Z[l]``."""
+        """One synchronous outer iteration: solve every block ``l`` on ``Z[l]``.
+
+        The local copies are read-only to the executor and may alias
+        one another (see :meth:`solve_blocks`).
+        """
         return self.solve_blocks(list(enumerate(Z)))
 
     def open_stream(self) -> SolveStream:
@@ -274,9 +284,12 @@ class Executor(abc.ABC):
         """Byte counters of the current binding's data movement.
 
         Distributed backends report ``attach_payload_bytes`` (per-worker
-        serialized binding size) and the per-round vector traffic
+        serialized binding size), the per-round vector traffic
         (``vector_bytes_sent`` / ``vector_bytes_received``, measured at
-        the driver).  In-process backends move nothing and return ``{}``.
+        the driver) and the frames that carried it
+        (``solve_frames_sent`` / ``solve_frames_received``: one each way
+        per active worker per barrier round).  In-process backends move
+        nothing and return ``{}``.
         """
         return {}
 

@@ -8,17 +8,24 @@ not depend on what carries the bytes, so it lives here exactly once:
   verb set (never arbitrary closures) over a small *channel* object the
   transport supplies:
 
-  ==========  ==================================  ====================
-  verb frame                                      reply frame
-  ==========  ==================================  ====================
+  ==========  ===================================  ==============================================
+  verb        frame                                reply frame
+  ==========  ===================================  ==============================================
   ``attach``  ``(verb, epoch, meta, spec_bytes)``  ``("attached", epoch)``
   ``adopt``   ``(verb, epoch, meta, spec_bytes)``  ``("adopted", epoch, seconds)``
-  ``solve``   transport-shaped, block at ``[2]``   transport-shaped ``"done"``
+  ``solve``   ``(verb, epoch, blocks[, halos])``   ``("done", epoch, blocks, seconds[, pieces])``
   ``trace``   ``(verb, epoch)``                    ``("trace", epoch, spans, worker_now)``
   ``stats``   ``(verb, epoch)``                    ``("stats", epoch, cache_delta)``
   ``detach``  ``(verb, epoch)``                    ``("detached", epoch)``
   ``exit``    ``(verb,)``                          none -- the worker ends
-  ==========  ==================================  ====================
+  ==========  ===================================  ==============================================
+
+  A ``solve`` frame is a *batch*: every block the worker owes this
+  round, answered by one ``done`` frame (``seconds`` per block, in
+  frame order).  What moves is each block's halo ``z[halo_l]`` -- the
+  columns its ``Dep`` reads, fixed at attach -- never the full-length
+  local copy; the vectors ride in the frame (sockets) or in shared
+  memory (processes), which is the bracketed part.
 
   Any failure while serving a verb answers ``("error", epoch,
   traceback)`` and the loop keeps serving.  Replies carry no rank: the
@@ -44,6 +51,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
+import select
 import threading
 import time
 import traceback
@@ -51,15 +59,20 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from repro.core.local import build_local_system, halo_columns
 from repro.direct.cache import CacheStats
 from repro.observe import estimate_clock_offset
 from repro.runtime.api import Executor, owned_rows_spec
 from repro.runtime.resilience import FaultPolicy, FaultStats, reassign_orphans
 
-__all__ = ["FleetExecutor", "WorkerGone", "serve"]
+__all__ = ["FleetExecutor", "WorkerGone", "linger", "serve"]
 
 #: Seconds a driver waits on one worker reply before declaring it dead.
 _REPLY_TIMEOUT = 300.0
+
+#: Seconds a worker that has just answered a solve polls for its next
+#: frame before it blocks (:func:`linger`).
+_LINGER = 0.003
 
 
 class WorkerGone(RuntimeError):
@@ -75,27 +88,53 @@ class WorkerGone(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def linger(fd: int) -> None:
+    """Poll ``fd`` for the worker's next frame, briefly, before blocking on it.
+
+    Between two rounds a worker idles for the few hundred microseconds
+    the driver folds in.  Blocking at once lets its CPU halt, and the
+    next frame then pays a cross-CPU wake-up that, on a virtualised or
+    shared host, costs as much as a thin round and differs from run to
+    run: measured on the 2-core reference host, that wake-up was what
+    made a fleet's timings spread once the round itself was cheap.  So
+    a channel calls this after a ``done`` reply, and only then: the
+    worker polls for up to ``_LINGER`` seconds, yielding the CPU between
+    polls (a driver or peer sharing the core runs at once), then falls
+    back to the blocking read.  An idle fleet never spins.
+    """
+    ready = select.poll()  # not select(): a forked worker's fd may be >= 1024
+    ready.register(fd, select.POLLIN)
+    give_up = time.perf_counter() + _LINGER
+    while not ready.poll(0):
+        if time.perf_counter() > give_up:
+            return
+        os.sched_yield()
+
+
 def serve(chan, cache, *, crash_after: int | None = None) -> bool:
     """Speak the verb protocol on one driver channel.
 
     ``chan`` is the transport's worker-side channel: ``recv()`` the next
     frame (raising ``ConnectionError``/``OSError``/``EOFError`` once the
     driver is gone), ``send(reply)``, ``open(meta)``/``release()`` the
-    binding's transport resources, ``z_of(frame)`` to obtain a solve's
-    local copy, and ``send_piece(epoch, l, piece, seconds)`` to return
-    it (optionally yielding :func:`repro.runtime.wire.send_frame`
-    timing info).  ``cache`` is the worker's factor cache; it outlives
-    the channel -- that is the re-attach economy.
+    binding's transport resources, ``tasks_of(frame)`` to obtain a solve
+    batch's halos (one per block of the frame, in order), and
+    ``send_done(epoch, blocks, pieces, seconds)`` to return the batch
+    (optionally yielding :func:`repro.runtime.wire.send_frame` timing
+    info).  ``cache`` is the worker's factor cache; it outlives the
+    channel -- that is the re-attach economy.
 
     Returns True when the driver sent ``exit``, False when the channel
-    simply ended.  ``crash_after`` hard-exits the whole process after
-    that many solve replies (the worker-side chaos hook).
+    simply ended.  ``crash_after`` hard-exits the whole process right
+    after that many block solves -- mid-batch when the count falls
+    inside one, before any reply (the worker-side chaos hook).
     """
-    # Imported here (not at module import) so a "spawn" child only pays
-    # for what it uses.
-    from repro.core.local import build_local_system
-
     systems: dict[int, object] = {}
+    halos: dict[int, np.ndarray] = {}
+    # The full-length local copy the kernels read.  A round scatters
+    # each block's halo into it; ``dep @ z`` reads no other column, so
+    # one copy serves every block of the binding, bit-identically.
+    scratch: np.ndarray | None = None
     use_cache = False
     cache_before: CacheStats | None = None
     solves = 0
@@ -145,7 +184,7 @@ def serve(chan, cache, *, crash_after: int | None = None) -> bool:
                     cache.set_tracer(None)
                 use_cache = spec["use_cache"]
                 if kind == "attach":
-                    systems = {}
+                    systems, halos, scratch = {}, {}, None
                     chan.release()
                     cache_before = cache.stats.snapshot() if use_cache else None
                 elif use_cache and cache_before is None:
@@ -167,6 +206,11 @@ def serve(chan, cache, *, crash_after: int | None = None) -> bool:
                         band=spec["bands"][l],
                         b_sub=spec["b_subs"][l],
                     )
+                    halos[l] = spec["halos"][l]
+                    if scratch is None:
+                        scratch = np.zeros(
+                            spec["bands"][l].shape[1:] + spec["b_subs"][l].shape[1:]
+                        )
                     if tracer is not None and not use_cache:
                         # Cached bindings get their factor spans from
                         # the cache itself (misses only).
@@ -185,43 +229,47 @@ def serve(chan, cache, *, crash_after: int | None = None) -> bool:
                         )
                     chan.send(("adopted", epoch, dt))
             elif kind == "solve":
-                l = msg[2]
-                z = chan.z_of(msg)
+                blocks = msg[2]
+                zs = chan.tasks_of(msg)
                 if tracer is not None:
                     tracer.event(
                         "wire.recv", cat="wire", lane=lane,
-                        bytes=int(z.nbytes), block=l,
+                        bytes=sum(int(z.nbytes) for z in zs), blocks=list(blocks),
                     )
-                t0 = time.perf_counter()
-                piece = systems[l].solve_with(z)
-                dt = time.perf_counter() - t0
-                # Drop the local copy before replying: it may be a live
-                # view of a transport buffer the driver is about to
-                # reclaim.
-                del z
-                piece = np.asarray(piece, dtype=float)
-                if tracer is not None:
-                    tracer.add("solve", "compute", t0, dt, lane=lane, block=l)
-                info = chan.send_piece(epoch, l, piece, dt)
+                pieces, seconds = [], []
+                for i, l in enumerate(blocks):
+                    scratch[halos[l]] = zs[i]
+                    t0 = time.perf_counter()
+                    piece = np.asarray(systems[l].solve_with(scratch), dtype=float)
+                    dt = time.perf_counter() - t0
+                    if tracer is not None:
+                        tracer.add("solve", "compute", t0, dt, lane=lane, block=l)
+                    pieces.append(piece)
+                    seconds.append(dt)
+                    solves += 1
+                    if crash_after is not None and solves >= crash_after:
+                        # Simulate a mid-run node failure: no goodbye frame,
+                        # no cleanup -- the driver sees a broken stream.
+                        os._exit(1)
+                # Drop the halos before replying: they may be live views
+                # of a transport buffer the driver is about to reclaim.
+                del zs
+                info = chan.send_done(epoch, blocks, pieces, seconds)
                 if tracer is not None:
                     if info is not None:
                         tracer.add(
                             "wire.serialize", "wire", info["t_serialize"],
-                            info["serialize_seconds"], lane=lane, block=l,
+                            info["serialize_seconds"], lane=lane,
                         )
                         tracer.add(
                             "wire.transmit", "wire", info["t_transmit"],
-                            info["transmit_seconds"], lane=lane, block=l,
+                            info["transmit_seconds"], lane=lane,
                         )
                     tracer.event(
                         "wire.send", cat="wire", lane=lane,
-                        bytes=int(piece.nbytes), block=l,
+                        bytes=sum(int(p.nbytes) for p in pieces),
+                        blocks=list(blocks),
                     )
-                solves += 1
-                if crash_after is not None and solves >= crash_after:
-                    # Simulate a mid-run node failure: no goodbye frame,
-                    # no cleanup -- the driver sees a broken stream.
-                    os._exit(1)
             elif kind == "trace":
                 batch = tracer.export_batch() if tracer is not None else []
                 chan.send(("trace", epoch, batch, time.perf_counter()))
@@ -233,7 +281,7 @@ def serve(chan, cache, *, crash_after: int | None = None) -> bool:
                 )
                 chan.send(("stats", epoch, delta))
             elif kind == "detach":
-                systems = {}
+                systems, halos, scratch = {}, {}, None
                 chan.release()
                 chan.send(("detached", epoch))
             else:
@@ -297,9 +345,14 @@ class FleetExecutor(Executor):
         self._fault = FaultStats()
         self._placement = None
         self._slot_of: dict[int, int] = {}
-        # ``(A, b, sets, solvers)``, retained for re-homing: an adoption
-        # re-ships exactly this context, trimmed to the moved blocks.
+        # ``(bands, halos, b, sets, solvers)``, retained for re-homing:
+        # an adoption re-ships exactly this context, trimmed to the
+        # moved blocks.
         self._spec_ctx: tuple | None = None
+        #: Per block, the sorted columns of the iterate its solve reads
+        #: (``Dep_l``'s non-zero columns): all a round ships of ``z``.
+        self._halo: list[np.ndarray] = []
+        self._b_shape: tuple = ()
         #: Spec pickle bytes per owned tuple -- one pickle per distinct
         #: owned set per binding, shared across attach and recovery.
         self._spec_cache: dict[tuple[int, ...], bytes] = {}
@@ -328,6 +381,8 @@ class FleetExecutor(Executor):
     def _reset_wire(self) -> None:
         self._vector_bytes_sent = 0
         self._vector_bytes_received = 0
+        self._solve_frames_sent = 0
+        self._solve_frames_received = 0
         self._serialize_seconds = 0.0
         self._transmit_seconds = 0.0
         self._copies_avoided = 0
@@ -338,7 +393,7 @@ class FleetExecutor(Executor):
         return {}
 
     def _open_binding(self, b_shape: tuple, sets: list) -> None:
-        pass
+        """Per-binding transport resources (``self._halo`` is already set)."""
 
     def _close_binding(self) -> None:
         pass
@@ -389,6 +444,7 @@ class FleetExecutor(Executor):
         """Drop the driver's side of the binding (workers untouched)."""
         self._attached = False
         self._spec_ctx = None
+        self._halo = []
         self._spec_cache = {}
         self._placement = None
         self._close_binding()
@@ -436,6 +492,19 @@ class FleetExecutor(Executor):
     def _require_attached(self) -> None:
         if not self._attached:
             raise RuntimeError(f"{type(self).__name__} is not attached")
+
+    def _local_copy(self, z) -> np.ndarray:
+        """``z`` as a float array of the binding's shape.
+
+        Checked here because only ``z[halo_l]`` travels: a worker can no
+        longer notice a local copy of the wrong length.
+        """
+        z = np.asarray(z, dtype=float)
+        if z.shape != self._b_shape:
+            raise ValueError(
+                f"local copy has shape {z.shape}, the binding's b has {self._b_shape}"
+            )
+        return z
 
     # -- binding ---------------------------------------------------------
     def _spec_bytes(self, owned: list[int]) -> bytes:
@@ -528,7 +597,12 @@ class FleetExecutor(Executor):
         self._cache_last = {}
         self._membership_version += 1
         self._epoch += 1
-        self._spec_ctx = (csr, b, sets_list, solvers)
+        # Each A[J_l, :] is sliced once: the same band yields the block's
+        # halo and, pickled, its share of the attach payload.
+        bands = [csr[rows, :] for rows in sets_list]
+        self._halo = [halo_columns(band, rows) for band, rows in zip(bands, sets_list)]
+        self._spec_ctx = (bands, self._halo, b, sets_list, solvers)
+        self._b_shape = b.shape
         self._spec_cache = {}
         self.attach_payload_bytes = {}
         with self._wire_lock:
@@ -872,6 +946,10 @@ class FleetExecutor(Executor):
                 "attach_payload_bytes": dict(self.attach_payload_bytes),
                 "vector_bytes_sent": int(self._vector_bytes_sent),
                 "vector_bytes_received": int(self._vector_bytes_received),
+                # Solve batches out and "done" replies in: one each per
+                # active worker per barrier round.
+                "solve_frames_sent": int(self._solve_frames_sent),
+                "solve_frames_received": int(self._solve_frames_received),
                 "serialize_seconds": float(self._serialize_seconds),
                 "transmit_seconds": float(self._transmit_seconds),
                 # Vector bytes the receiver consumed in place (a plane

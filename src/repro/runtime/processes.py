@@ -4,40 +4,57 @@ The fleet protocol itself (verbs, attach transaction, recovery, elastic
 membership, accounting) lives in :mod:`repro.runtime.fleet`; this module
 is what is particular to same-host worker processes:
 
-* **how a worker is reached** -- a task queue in, a *private* reply pipe
-  out.  Not a shared reply queue: a shared queue's write-lock is a
-  cross-process semaphore, and a worker SIGKILLed while holding it would
-  deadlock every survivor's replies -- precisely the fault this backend
-  must recover from.  Private pipes have no shared state, and the
-  hot-path reply frames are far below ``PIPE_BUF`` so their writes are
-  atomic;
+* **how a worker is reached** -- two *private* one-way pipes per
+  worker: tickets in, replies out.  Not a shared reply queue: a shared
+  queue's write-lock is a cross-process semaphore, and a worker
+  SIGKILLed while holding it would deadlock every survivor's replies --
+  precisely the fault this backend must recover from.  And not an ``mp.Queue`` for
+  the tickets either: its feeder thread adds a hand-off and a wake-up
+  to every round.  Private pipes have no shared state, and the hot-path
+  frames are tens of bytes, far below ``PIPE_BUF``, so their writes are
+  atomic and cannot block.  A pipe write, unlike a queue ``put``, can
+  *fail* (the reader died) or *stall* (the reader stopped reading):
+  a failed ticket write is left to the liveness sweep that follows it,
+  and the only frames big enough to stall -- binding specs -- are
+  written under the reply-wait bound (:meth:`ProcessExecutor._post`).
+  A worker that has just answered a batch polls its ticket pipe for a
+  few milliseconds before it blocks on it
+  (:func:`~repro.runtime.fleet.linger`), so that between two thin
+  rounds its CPU does not halt and the next ticket does not pay -- and
+  a run's timing does not hang on -- a cross-CPU wake-up;
 * **how vectors move** -- through two
   :class:`~repro.runtime.shm.SharedVectorPlane` segments per binding:
-  the driver writes block ``l``'s local copy into its ``z`` slot, posts
-  a tiny ``("solve", epoch, l)`` ticket, and the worker solves straight
-  off the plane view and writes ``XSub_l`` into the piece slot before
-  acknowledging.  Tickets order the slot accesses, so no locks are
-  needed and nothing numeric is ever pickled on the hot path;
+  the driver writes each block's halo ``z[halo_l]`` (the rows of the
+  local copy its ``Dep`` reads) into its ``z`` slot and posts **one**
+  ``("solve", epoch, blocks)`` ticket per worker; the worker solves
+  its batch straight off the plane views, writes every ``XSub_l`` into
+  its piece slot and acknowledges the batch with **one**
+  ``("done", epoch, blocks, seconds)``.  Tickets order the slot
+  accesses, so no locks are needed and nothing numeric is ever pickled
+  on the hot path;
 * **the data plane** -- one poll loop over all reply pipes doubling as
   the heartbeat: every ``heartbeat_interval`` it checks worker
   liveness, and the policy's ``deadline`` bounds how long any one
-  block may go unanswered *per worker* (a hung worker is killed and
-  treated like a crashed one).  Lost solves are re-dispatched after
-  the shared recovery re-homes their blocks; iterates are unaffected
-  because a block solve is a pure function of ``(block, z)``.
+  block may go unanswered *per worker* -- a worker owing ``m`` blocks
+  is overdue ``m x deadline`` after its last proof of life (a hung
+  worker is killed and treated like a crashed one).  Lost batches are
+  re-dispatched after the shared recovery re-homes their blocks;
+  iterates are unaffected because a block solve is a pure function of
+  ``(block, z)``.
 
 Trade-offs vs :class:`~repro.runtime.ThreadExecutor`: true core-level
 parallelism independent of any GIL-releasing discipline in the kernels,
-at the price of one queue round-trip (~0.1 ms) plus two vector copies per
-block per iteration, and of per-worker (not shared) factor caches.  Pick
-processes when block solves are chunky; threads when they are small or
-when a shared cache across blocks matters.
+at the price of one pipe round-trip per worker plus a halo and a piece
+copy per block per iteration, and of per-worker (not shared) factor
+caches.  Pick processes when block solves are chunky; threads when they
+are small or when a shared cache across blocks matters.
 """
 
 from __future__ import annotations
 
 import multiprocessing.connection as mp_connection
 import os
+import threading
 import time
 from collections import deque
 from typing import Sequence
@@ -46,23 +63,34 @@ import numpy as np
 
 from repro.direct.cache import FactorizationCache
 from repro.runtime.api import SolveStream
-from repro.runtime.fleet import _REPLY_TIMEOUT, FleetExecutor, serve
+from repro.runtime.fleet import (
+    _REPLY_TIMEOUT,
+    FleetExecutor,
+    WorkerGone,
+    linger,
+    serve,
+)
 from repro.runtime.shm import SharedVectorPlane
 
 __all__ = ["ProcessExecutor"]
 
 
 class _PipeChannel:
-    """Worker end of the transport: task queue in, pipe + shm planes out."""
+    """Worker end of the transport: ticket pipe in, reply pipe + shm planes out."""
 
-    def __init__(self, task_q, reply_conn):
-        self._task_q = task_q
+    def __init__(self, tickets, reply_conn):
+        self._tickets = tickets
         self._conn = reply_conn
         self._z_plane: SharedVectorPlane | None = None
         self._piece_plane: SharedVectorPlane | None = None
+        #: A batch was just answered: the next ticket is probably near.
+        self._hot = False
 
     def recv(self):
-        return self._task_q.get()
+        if self._hot:
+            self._hot = False
+            linger(self._tickets.fileno())
+        return self._tickets.recv()
 
     def send(self, reply) -> None:
         self._conn.send(reply)
@@ -82,19 +110,21 @@ class _PipeChannel:
             self._piece_plane.close()
             self._z_plane = self._piece_plane = None
 
-    def z_of(self, frame) -> np.ndarray:
-        # A view, not a copy: the ticket ordering guarantees the driver
-        # wrote the slot and will not rewrite it until the reply lands.
-        return self._z_plane.slot(frame[2])
+    def tasks_of(self, frame) -> list[np.ndarray]:
+        # Views, not copies: the ticket ordering guarantees the driver
+        # wrote the slots and will not rewrite them until the reply lands.
+        return [self._z_plane.slot(l) for l in frame[2]]
 
-    def send_piece(self, epoch, l, piece, seconds) -> None:
-        self._piece_plane.write(l, piece)
-        self._conn.send(("done", epoch, l, seconds))
+    def send_done(self, epoch, blocks, pieces, seconds) -> None:
+        for l, piece in zip(blocks, pieces):
+            self._piece_plane.write(l, piece)
+        self._conn.send(("done", epoch, blocks, seconds))
+        self._hot = True
 
 
-def _worker_main(task_q, reply_conn) -> None:
+def _worker_main(tickets, reply_conn) -> None:
     """Entry point of one worker process (must be import-resolvable)."""
-    serve(_PipeChannel(task_q, reply_conn), FactorizationCache(capacity=256))
+    serve(_PipeChannel(tickets, reply_conn), FactorizationCache(capacity=256))
 
 
 class ProcessExecutor(FleetExecutor):
@@ -122,7 +152,9 @@ class ProcessExecutor(FleetExecutor):
     def __init__(self, *, max_workers: int | None = None, start_method: str | None = None):
         super().__init__(start_method)
         self.max_workers = max_workers
-        self._task_qs: list = []
+        #: Per rank, the driver's ends of the worker's two pipes: the
+        #: ticket pipe's write end and the reply pipe's read end.
+        self._tickets: list = []
         self._conns: list = []
         self._z_plane: SharedVectorPlane | None = None
         self._piece_plane: SharedVectorPlane | None = None
@@ -144,44 +176,87 @@ class ProcessExecutor(FleetExecutor):
         ctx = self._context()
         first = len(self._procs)
         for rank in range(first, first + workers):
-            task_q = ctx.Queue()
-            recv_conn, send_conn = ctx.Pipe(duplex=False)
+            ticket_recv, ticket_send = ctx.Pipe(duplex=False)
+            reply_recv, reply_send = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(task_q, send_conn),
+                args=(ticket_recv, reply_send),
                 daemon=True,
                 name=f"repro-runtime-{rank}",
             )
             proc.start()
-            # The parent keeps only the read end; closing the write end
-            # here makes a dead worker's pipe report EOF, not block.
-            send_conn.close()
-            self._task_qs.append(task_q)
-            self._conns.append(recv_conn)
+            # The parent keeps only its own ends; closing the worker's
+            # here makes a dead worker's pipes report EOF / EPIPE, not
+            # block.
+            ticket_recv.close()
+            reply_send.close()
+            self._tickets.append(ticket_send)
+            self._conns.append(reply_recv)
             self._procs.append(proc)
         return list(range(first, len(self._procs)))
 
     def _is_alive(self, w: int) -> bool:
         return self._procs[w].is_alive()
 
+    def _ticket(self, w: int, frame: tuple) -> bool:
+        """Write one tiny frame to worker ``w``; False on a broken pipe.
+
+        A pipe whose reader died refuses the write where a queue would
+        have buffered it.  On the solve path that is not an error yet:
+        the liveness sweep that follows every dispatch finds the corpse
+        and owns the diagnosis (same recovery, same counters).
+        """
+        try:
+            self._tickets[w].send(frame)
+        except OSError:
+            return False
+        return True
+
     def _post(self, w: int, frame: tuple) -> int:
-        self._task_qs[w].put(frame)
-        return len(frame[3]) if len(frame) > 3 else 0
+        if len(frame) <= 3:  # a control verb: tens of bytes
+            if not self._ticket(w, frame):
+                raise WorkerGone(w, "broken pipe")
+            return 0
+        # A binding frame can be megabytes, and a pipe write blocks for
+        # as long as the worker does not read (SIGSTOP, a wedged
+        # kernel).  Write it from a helper, so that the wait is bounded
+        # like every reply wait and a stuck worker fails the attach
+        # transaction instead of wedging the driver.
+        failed: list[str] = []
+
+        def write() -> None:
+            try:
+                self._tickets[w].send(frame)
+            except OSError as exc:
+                # The text, not the exception: its traceback would hold
+                # this closure, and the frame's buffers, in a cycle.
+                failed.append(str(exc))
+
+        helper = threading.Thread(
+            target=write, name=f"repro-runtime-post-{w}", daemon=True
+        )
+        helper.start()
+        helper.join(self._reply_wait_seconds())
+        if helper.is_alive():
+            # Killing the reader breaks the pipe, which ends the write.
+            self._procs[w].kill()
+            helper.join(10.0)
+            raise WorkerGone(w, "stopped reading its pipe")
+        if failed:
+            raise WorkerGone(w, failed[0])
+        return len(frame[3])
 
     def _reap(self, w: int) -> None:
         proc = self._procs[w]
         if proc.is_alive():  # a hung (deadline-breaching) worker
             proc.kill()
             proc.join(timeout=10.0)
-        # Stale tickets die with the worker: abandon its queue without
-        # joining the feeder thread (a queue whose reader died may hold
-        # buffered tickets; joining would block).
-        self._task_qs[w].cancel_join_thread()
-        self._task_qs[w].close()
+        # Stale tickets die with the pipe.
+        self._tickets[w].close()
         self._conns[w].close()
 
     def _retire(self, w: int) -> None:
-        self._task_qs[w].put(("exit",))
+        self._ticket(w, ("exit",))
         self._procs[w].join(timeout=10.0)
         self._reap(w)
 
@@ -196,10 +271,9 @@ class ProcessExecutor(FleetExecutor):
 
     def _open_binding(self, b_shape: tuple, sets: list) -> None:
         self._early = []
-        self._z_plane = SharedVectorPlane([b_shape] * len(sets))
-        self._piece_plane = SharedVectorPlane(
-            [(rows.size,) + tuple(b_shape[1:]) for rows in sets]
-        )
+        tail = tuple(b_shape[1:])
+        self._z_plane = SharedVectorPlane([(h.size,) + tail for h in self._halo])
+        self._piece_plane = SharedVectorPlane([(rows.size,) + tail for rows in sets])
 
     def _close_binding(self) -> None:
         for plane in (self._z_plane, self._piece_plane):
@@ -231,12 +305,13 @@ class ProcessExecutor(FleetExecutor):
         """Every ready current-epoch ``kind`` reply from ``workers``.
 
         The one reader of the reply pipes: blocks up to ``timeout`` for
-        the *first* reply, drains whatever is ready, drops stragglers
-        from older epochs, raises on error frames and on replies of the
-        wrong kind (:meth:`_current`).  An empty return is the heartbeat
-        signal (nobody had anything to say).  A pipe at EOF (its worker
-        died) is skipped -- the caller's liveness check owns that
-        diagnosis.
+        the *first* reply, takes one frame off every pipe that is ready
+        (a second frame on the same pipe makes the next call return at
+        once), drops stragglers from older epochs, raises on error
+        frames and on replies of the wrong kind (:meth:`_current`).  An
+        empty return is the heartbeat signal (nobody had anything to
+        say).  A pipe at EOF (its worker died) is skipped -- the
+        caller's liveness check owns that diagnosis.
         """
         out: list[tuple[int, tuple]] = []
         if kind == "done" and self._early:
@@ -247,16 +322,13 @@ class ProcessExecutor(FleetExecutor):
         for conn in mp_connection.wait(list(conns), timeout=timeout):
             w = conns[conn]
             try:
-                while True:
-                    msg = conn.recv()
-                    if msg[0] == "done" and kind != "done":
-                        self._early.append((w, msg))
-                    elif self._current(w, msg, kind):
-                        out.append((w, msg))
-                    if not conn.poll():
-                        break
+                msg = conn.recv()
             except (EOFError, OSError):
                 continue
+            if msg[0] == "done" and kind != "done":
+                self._early.append((w, msg))
+            elif self._current(w, msg, kind):
+                out.append((w, msg))
         return out
 
     def _gather(self, kind: str, workers) -> tuple[dict[int, tuple], list[int]]:
@@ -291,16 +363,29 @@ class ProcessExecutor(FleetExecutor):
         return True
 
     # -- solving ---------------------------------------------------------
-    def _write_z(self, l: int, z) -> int:
-        """Publish block ``l``'s local copy on the plane; returns its bytes."""
-        arr = np.asarray(z, dtype=float)
+    def _write_z(self, tasks) -> int:
+        """Publish the halo of each task's local copy; returns the bytes."""
         t0 = time.perf_counter()
-        self._z_plane.write(l, arr)
+        sent = 0
+        for l, z in tasks:
+            halo = self._local_copy(z)[self._halo[l]]
+            self._z_plane.slot(l)[...] = halo
+            sent += halo.nbytes
         self._transmit_seconds += time.perf_counter() - t0
-        self._vector_bytes_sent += arr.nbytes
+        self._vector_bytes_sent += sent
         # The worker consumes these bytes as a plane view, not a copy.
-        self._copies_avoided += arr.nbytes
-        return arr.nbytes
+        self._copies_avoided += sent
+        return sent
+
+    def _dispatch(self, blocks) -> dict[int, list[int]]:
+        """Post one solve ticket per owning worker; returns worker -> batch."""
+        batches: dict[int, list[int]] = {}
+        for l in blocks:
+            batches.setdefault(self._owner[l], []).append(l)
+        for w, batch in batches.items():
+            if self._ticket(w, ("solve", self._epoch, batch)):
+                self._solve_frames_sent += 1
+        return batches
 
     def solve_blocks(
         self, tasks: Sequence[tuple[int, np.ndarray]]
@@ -310,60 +395,54 @@ class ProcessExecutor(FleetExecutor):
         if len(set(blocks)) != len(blocks):
             raise ValueError("duplicate block in one solve_blocks call")
         tracer = self._tracer
-        sent_bytes = sum(self._write_z(l, z) for l, z in tasks)
+        sent_bytes = self._write_z(tasks)
         if tracer is not None:
             tracer.event(
                 "wire.send", cat="wire", lane="driver",
                 bytes=int(sent_bytes), blocks=len(tasks),
             )
-        pending: dict[int, int] = {}
-        dispatched: dict[int, float] = {}
+        #: worker -> the blocks it still owes, and its last proof of life
+        #: (the dispatch, or its latest reply).
+        owed = self._dispatch(blocks)
         t_dispatch = time.monotonic()
-        for l in blocks:
-            w = self._owner[l]
-            self._task_qs[w].put(("solve", self._epoch, l))
-            pending[l] = w
-            dispatched[l] = t_dispatch
+        since = dict.fromkeys(owed, t_dispatch)
         remaining = set(blocks)
         policy = self._policy
         hb = self._heartbeat()
         hard_deadline = t_dispatch + self._reply_wait_seconds()
         t_wait = tracer.now() if tracer is not None else 0.0
         while remaining:
-            for w_from, (_, _, l, dt) in self._replies("done", self._live, hb):
-                if l not in remaining:  # a requeued block may answer twice
-                    continue
-                remaining.discard(l)
-                del pending[l]
-                self._block_seconds[l] += dt
-                # A reply is proof of life for ITS worker only: refresh
-                # the clocks of that worker's other queued blocks (a
+            for w, (_, _, batch, seconds) in self._replies("done", self._live, hb):
+                self._solve_frames_received += 1
+                for l, dt in zip(batch, seconds):
+                    if l in remaining:  # a requeued block may answer twice
+                        remaining.discard(l)
+                        self._block_seconds[l] += dt
+                # A reply is proof of life for ITS worker only: it
+                # restarts the clock of that worker's other batches (a
                 # deep queue on a live worker is not a hang), but never
                 # a peer's.
-                t_reply = time.monotonic()
-                for l2 in remaining:
-                    if pending[l2] == w_from:
-                        dispatched[l2] = t_reply
+                if w in owed:
+                    owed[w] = [l for l in owed[w] if l in remaining]
+                    since[w] = time.monotonic()
             if not remaining:
                 break
             # Corpse/deadline sweep runs every iteration, replies or not:
-            # each outstanding block keeps the clock of its dispatch (or
-            # its worker's last reply), so one chatty worker's steady
-            # replies cannot keep resetting a shared round deadline and
-            # mask a hung peer (the interleaving explorer's
-            # requeue-vs-reply model is the spec for what recovery may
-            # do with the late reply).
+            # each worker keeps the clock of its dispatch (or its last
+            # reply), so one chatty worker's steady replies cannot keep
+            # resetting a shared round deadline and mask a hung peer
+            # (the interleaving explorer's requeue-vs-reply model is the
+            # spec for what recovery may do with the late reply).  A
+            # reply proves life once per batch, so the allowance is the
+            # policy's per-block deadline times the blocks still owed.
             now = time.monotonic()
             dead = [w for w in self._live if not self._is_alive(w)]
             if policy is None and dead:
                 raise RuntimeError(f"runtime workers died: {dead}")
             if policy is not None and not dead and policy.deadline is not None:
                 dead = sorted(
-                    {
-                        pending[l]
-                        for l in remaining
-                        if now - dispatched[l] > policy.deadline
-                    }
+                    w for w, batch in owed.items()
+                    if batch and now - since[w] > policy.deadline * len(batch)
                 )
             if not dead:
                 if now > hard_deadline:
@@ -373,18 +452,16 @@ class ProcessExecutor(FleetExecutor):
                     )
                 continue
             self._recover(dead)
-            # Blocks whose ticket sat with a dead worker go to their new
-            # owner (the z slot still holds the round's local copy, so
-            # the retried solve is bit-identical).  Fresh clocks for
-            # every still-outstanding block: recovery itself (respawn +
-            # adopt acks) takes wall time no worker should be billed
-            # for.
+            # Whatever the dead workers still owed goes to the blocks'
+            # new owners, whole (the z slots still hold the round's
+            # halos, so the retried solves are bit-identical).  Fresh
+            # clocks for every worker: recovery itself (respawn + adopt
+            # acks) takes wall time no worker should be billed for.
+            orphans = sorted(l for w in dead for l in owed.pop(w, ()))
+            for w, batch in self._dispatch(orphans).items():
+                owed[w] = owed.get(w, []) + batch
             now = time.monotonic()
-            for l in sorted(remaining):
-                if pending[l] in dead:
-                    pending[l] = self._owner[l]
-                    self._task_qs[pending[l]].put(("solve", self._epoch, l))
-                dispatched[l] = now
+            since = dict.fromkeys(owed, now)
             hard_deadline = now + self._reply_wait_seconds()
         if tracer is not None:
             tracer.add(
@@ -427,14 +504,11 @@ class ProcessExecutor(FleetExecutor):
             # teardown casualty.
             pass
         for w in self.alive_workers():
-            try:
-                self._task_qs[w].put_nowait(("exit",))
-            except Exception:  # pragma: no cover - feeder already gone
-                pass
+            self._ticket(w, ("exit",))
         self._join_all()
         for w in self._live:
             self._reap(w)
-        self._task_qs = []
+        self._tickets = []
         self._conns = []
         self._early = []
         self._forget_fleet()
@@ -443,10 +517,10 @@ class ProcessExecutor(FleetExecutor):
 class _ProcessStream(SolveStream):
     """Out-of-order solve stream over the shm planes.
 
-    ``submit`` writes the block's z slot and enqueues its ticket
-    immediately; ``next_done`` drains the reply pipes and hands back
-    pieces in finish order (copied off the plane -- the slot is live
-    shared state).  No mid-stream recovery: a worker death fails the
+    ``submit`` writes the block's z slot and posts its single-block
+    ticket immediately; ``next_done`` drains the reply pipes and hands
+    back pieces in finish order (copied off the plane -- the slot is
+    live shared state).  No mid-stream recovery: a worker death fails the
     stream (the barrier path owns the FaultPolicy machinery).
     """
 
@@ -458,8 +532,8 @@ class _ProcessStream(SolveStream):
     def submit(self, l: int, z: np.ndarray) -> None:
         ex = self._ex
         l = int(l)
-        ex._write_z(l, z)
-        ex._task_qs[ex._owner[l]].put(("solve", ex._epoch, l))
+        ex._write_z([(l, z)])
+        ex._dispatch([l])
         self._inflight += 1
 
     def next_done(self) -> tuple[int, np.ndarray]:
@@ -469,11 +543,13 @@ class _ProcessStream(SolveStream):
                 raise RuntimeError("no solve in flight")
             deadline = time.monotonic() + ex._reply_wait_seconds()
             while not self._ready:
-                for _, (_, _, l, dt) in ex._replies("done", ex._live, 1.0):
-                    ex._block_seconds[l] += dt
-                    piece = ex._piece_plane.read(l)
-                    ex._vector_bytes_received += piece.nbytes
-                    self._ready.append((l, piece))
+                for _, (_, _, batch, seconds) in ex._replies("done", ex._live, 1.0):
+                    ex._solve_frames_received += 1
+                    for l, dt in zip(batch, seconds):
+                        ex._block_seconds[l] += dt
+                        piece = ex._piece_plane.read(l)
+                        ex._vector_bytes_received += piece.nbytes
+                        self._ready.append((l, piece))
                 if self._ready:
                     break
                 dead = [w for w in ex._live if not ex._is_alive(w)]

@@ -16,7 +16,7 @@ subsystem:
 * :class:`FaultPolicy` -- the recovery contract a binding is attached
   with (``executor.attach(..., fault_policy=...)``, or ``fault_policy=``
   on the drivers and :class:`~repro.core.solver.MultisplittingSolver`):
-  per-round reply deadlines, heartbeat cadence, automatic requeue of a
+  per-block reply deadlines, heartbeat cadence, automatic requeue of a
   dead worker's blocks onto survivors, and optional respawn of owned
   workers.  The real recovery machinery lives in
   :class:`~repro.runtime.ProcessExecutor` and
@@ -174,13 +174,18 @@ class FaultPolicy:
     Attributes
     ----------
     deadline:
-        Per-round reply deadline in seconds.  A worker that has not
-        answered an outstanding solve after this long is declared lost
-        (killed if owned) and its blocks are requeued -- this is what
-        turns a *hung or silently dropped* reply into a recoverable
-        fault rather than a stall.  ``None`` keeps the backend's long
-        protocol timeout (dead workers are still detected via the
-        heartbeat/connection check, just not slow ones).
+        Reply deadline in seconds, *per block*.  A fleet round is one
+        solve frame and one reply per worker, so a reply proves life
+        once per batch: a worker owing ``m`` blocks is declared lost
+        (killed if owned) once ``m x deadline`` has passed since its
+        last proof of life -- its dispatch or its latest reply -- and
+        its whole batch is requeued (processes: the reply loop's sweep;
+        sockets: the absolute receive deadline of the batch's reply).
+        This is what turns a *hung or silently dropped* reply into a
+        recoverable fault rather than a stall.  ``None`` keeps the
+        backend's long protocol timeout (dead workers are still
+        detected via the heartbeat/connection check, just not slow
+        ones).
     heartbeat_interval:
         Cadence of the driver's liveness polls while waiting on replies
         (process backend; the socket backend's TCP errors are

@@ -1,19 +1,19 @@
 """Shared-memory vector plane: zero-pickle exchange of iterate pieces.
 
 The process backend must move two families of vectors every outer
-iteration: each block's full-length local copy ``z`` (driver -> worker)
-and each block's solution piece ``XSub`` (worker -> driver).  Pickling
-them through queues would copy every float twice and serialise on the
-queue feeder thread; instead both families live in named
+iteration: the *halo* of each block's local copy -- the rows of ``z``
+its ``Dep`` reads, ``z[halo_l]`` (driver -> worker) -- and each block's
+solution piece ``XSub`` (worker -> driver).  Pickling them through pipes
+would copy every float twice; instead both families live in named
 ``multiprocessing.shared_memory`` segments laid out as fixed slots:
 
 ``SharedVectorPlane([shape_0, shape_1, ...])`` maps one float64 slot per
 block, at offset ``8 * sum(prod(shape_j) for j < i)``.  The driver writes
-``z`` into slot ``l`` *before* enqueueing the solve ticket for block
-``l`` and reads the piece slot *after* receiving the completion ticket,
-so the queue round-trip orders every access: no two processes ever touch
-a slot concurrently, and the only data crossing the queues are tiny
-control tuples.
+slot ``l`` of the z plane *before* posting the solve ticket that names
+block ``l`` and reads the piece slot *after* receiving the completion
+ticket, so the ticket round-trip orders every access: no two processes
+ever touch a slot concurrently, and the only data crossing the pipes are
+tiny control tuples.
 
 Matrices never enter the plane -- they are shipped exactly once at
 ``attach`` time; see :mod:`repro.runtime.processes`.
@@ -72,19 +72,25 @@ class SharedVectorPlane:
         create: bool = True,
     ):
         self.shapes = [tuple(int(s) for s in shape) for shape in shapes]
-        self._offsets: list[int] = []
-        total = 0
-        for shape in self.shapes:
-            self._offsets.append(total)
-            total += 8 * int(np.prod(shape))
+        counts = [int(np.prod(shape)) for shape in self.shapes]
         if create:
             self._shm = shared_memory.SharedMemory(
-                name=name, create=True, size=max(total, 8)
+                name=name, create=True, size=max(8 * sum(counts), 8)
             )
         else:
             with _untracked_attach():
                 self._shm = shared_memory.SharedMemory(name=name, create=False)
         self._owner = create
+        # Built once: a slot access is on the per-round path, and
+        # ``frombuffer`` + ``reshape`` cost several times the copy of a
+        # thin halo.  (A zero-size slot -- an empty halo -- is fine.)
+        offsets = 8 * np.cumsum([0] + counts[:-1])
+        self._slots = [
+            np.frombuffer(
+                self._shm.buf, dtype=np.float64, count=count, offset=int(offset)
+            ).reshape(shape)
+            for shape, count, offset in zip(self.shapes, counts, offsets)
+        ]
 
     @property
     def name(self) -> str:
@@ -92,27 +98,23 @@ class SharedVectorPlane:
         return self._shm.name
 
     def slot(self, i: int) -> np.ndarray:
-        """Zero-copy view of slot ``i``."""
-        shape = self.shapes[i]
-        count = int(np.prod(shape))
-        arr = np.frombuffer(
-            self._shm.buf, dtype=np.float64, count=count, offset=self._offsets[i]
-        )
-        return arr.reshape(shape)
+        """Zero-copy view of slot ``i`` (drop it before :meth:`close`)."""
+        return self._slots[i]
 
     def write(self, i: int, values: np.ndarray) -> None:
         """Copy ``values`` into slot ``i`` (shape-checked)."""
-        view = self.slot(i)
+        view = self._slots[i]
         if values.shape != view.shape:
             raise ValueError(f"slot {i} holds {view.shape}, got {values.shape}")
         view[...] = values
 
     def read(self, i: int) -> np.ndarray:
         """Materialised copy of slot ``i`` (safe to keep across writes)."""
-        return self.slot(i).copy()
+        return self._slots[i].copy()
 
     def close(self) -> None:
         """Release this process's mapping (the segment survives)."""
+        self._slots = []  # the mapping cannot close under live views
         self._shm.close()
 
     def unlink(self) -> None:

@@ -20,16 +20,21 @@ speaking it over real sockets, so worker processes may live anywhere:
   ``python -m repro.runtime.sockets --port 5555`` on each machine, then
   ``SocketExecutor(addresses=[("hostA", 5555), ("hostB", 5555)])`` from
   the driver.  ``--crash-after N`` makes a worker kill itself after
-  ``N`` solves -- chaos-testing a real fleet's recovery path from the
-  worker side.  Only owned loopback workers can be respawned, killed,
+  ``N`` block solves -- chaos-testing a real fleet's recovery path from
+  the worker side.  Only owned loopback workers can be respawned, killed,
   or told to exit; external ones are merely disconnected (their accept
   loop waits for the next driver, factor cache intact);
-* **the data plane** -- one io thread per worker stream with a strict
-  send-one/recv-one pairing (it can never deadlock and keeps the
-  per-worker solve order deterministic); a stream that breaks
-  mid-round hands its undone tail to the shared recovery and the lost
-  solves are re-dispatched.  Iterates are unaffected: a block solve is
-  a pure function of ``(block, z)`` wherever it runs.
+* **the data plane** -- one io thread per worker stream, one
+  ``solve`` frame out and one ``done`` frame back per round: the frame
+  carries, for every block the worker owes, only the halo
+  ``z[halo_l]`` its ``Dep`` reads.  The strict send-one/recv-one
+  pairing can never deadlock and keeps the per-worker solve order
+  deterministic; a stream that breaks mid-round hands its whole batch
+  to the shared recovery and the lost solves are re-dispatched.
+  Iterates are unaffected: a block solve is a pure function of
+  ``(block, z)`` wherever it runs.  A worker that has just answered
+  polls its stream briefly before blocking on it
+  (:func:`~repro.runtime.fleet.linger`).
 
 ``close`` is idempotent and safe after a worker crash: exits are
 fire-and-forget, sockets are torn down unconditionally, and spawned
@@ -51,7 +56,13 @@ import numpy as np
 
 from repro.direct.cache import FactorizationCache
 from repro.runtime.api import SolveStream
-from repro.runtime.fleet import _REPLY_TIMEOUT, FleetExecutor, WorkerGone, serve
+from repro.runtime.fleet import (
+    _REPLY_TIMEOUT,
+    FleetExecutor,
+    WorkerGone,
+    linger,
+    serve,
+)
 from repro.runtime.wire import BufferPool, recv_frame, send_frame
 
 __all__ = ["SocketExecutor", "serve_worker"]
@@ -70,14 +81,19 @@ class _SocketChannel:
 
     def __init__(self, conn: socket.socket):
         self._conn = conn
-        # The verb loop handles one frame at a time, and a solve's z is
-        # dead once the piece is computed, so a single pooled key
-        # suffices: receive buffers rotate instead of reallocating
-        # every round.  Spec frames are sent non-transient and bypass
-        # the pool (their arrays stay referenced by the bound systems).
+        # The verb loop handles one frame at a time, and a batch's halos
+        # are dead once scattered, so a single pooled key suffices:
+        # receive buffers rotate instead of reallocating every round.
+        # Spec frames are sent non-transient and bypass the pool (their
+        # arrays stay referenced by the bound systems).
         self._pool = BufferPool()
+        #: A batch was just answered: the next frame is probably near.
+        self._hot = False
 
     def recv(self):
+        if self._hot:
+            self._hot = False
+            linger(self._conn.fileno())
         return recv_frame(self._conn, pool=self._pool, key="recv")[0]
 
     def send(self, reply) -> None:
@@ -89,15 +105,17 @@ class _SocketChannel:
     def release(self) -> None:
         pass
 
-    def z_of(self, frame) -> np.ndarray:
+    def tasks_of(self, frame) -> list[np.ndarray]:
         return frame[3]
 
-    def send_piece(self, epoch, l, piece, seconds) -> dict:
+    def send_done(self, epoch, blocks, pieces, seconds) -> dict:
         # Transient on purpose: the driver pools its receive buffers
-        # per block, and rounds overwrite rounds.
-        return send_frame(
-            self._conn, ("done", epoch, l, piece, seconds), transient=True
+        # per batch, and rounds overwrite rounds.
+        info = send_frame(
+            self._conn, ("done", epoch, blocks, seconds, pieces), transient=True
         )
+        self._hot = True
+        return info
 
 
 def serve_worker(
@@ -113,7 +131,7 @@ def serve_worker(
     the worker waits for the next one (its factor cache intact).  An
     ``exit`` verb shuts the worker down.  ``on_bound`` receives the
     actual port (useful with ``port=0``).  ``crash_after`` makes the
-    worker hard-exit after that many solves (chaos testing).
+    worker hard-exit after that many block solves (chaos testing).
     """
     listener = socket.create_server((host, port))
     if on_bound is not None:
@@ -308,13 +326,13 @@ class SocketExecutor(FleetExecutor):
         """Next current-epoch ``kind`` frame from worker ``w``.
 
         ``key`` opts into worker ``w``'s receive-buffer pool: a solve
-        reply's piece lands in a rotating preallocated buffer keyed by
-        its block (only frames the worker flagged transient are pooled,
+        reply's pieces land in rotating preallocated buffers keyed by
+        its batch (only frames the worker flagged transient are pooled,
         so control replies always own their memory).  ``deadline`` is an
         *absolute* monotonic bound on getting the expected reply: it
         spans straggler frames and partial receives alike, so neither a
         trickling peer nor a backlog of stale frames can stretch one
-        block's reply past the armed fault deadline.
+        batch's reply past the armed fault deadline.
         """
         pool = self._pools.get(w) if key is not None else None
         while True:
@@ -328,6 +346,7 @@ class SocketExecutor(FleetExecutor):
                 continue
             if kind == "done":
                 with self._wire_lock:
+                    self._solve_frames_received += 1
                     self._vector_bytes_received += info["payload"]
                     self._copies_avoided += info["oob_bytes"]
             return msg
@@ -407,14 +426,21 @@ class SocketExecutor(FleetExecutor):
             return self._policy.deadline
         return self.reply_timeout
 
-    def _send_solve(self, w: int, l: int, z) -> None:
-        """One solve frame to worker ``w`` (raises ``OSError`` if broken)."""
+    def _send_solve(self, w: int, tasks) -> None:
+        """One solve frame to worker ``w``: its batch's halos (raises
+        ``OSError`` if the stream is broken)."""
         info = send_frame(
             self._socks[w],
-            ("solve", self._epoch, l, np.asarray(z, float)),
+            (
+                "solve",
+                self._epoch,
+                [l for l, _ in tasks],
+                [self._local_copy(z)[self._halo[l]] for l, z in tasks],
+            ),
             transient=True,
         )
         with self._wire_lock:
+            self._solve_frames_sent += 1
             self._vector_bytes_sent += info["payload"]
             self._serialize_seconds += info["serialize_seconds"]
             self._transmit_seconds += info["transmit_seconds"]
@@ -422,40 +448,39 @@ class SocketExecutor(FleetExecutor):
 
     def _run_worker_tasks(
         self, w: int, tasks: list[tuple[int, np.ndarray]]
-    ) -> tuple[list[tuple[int, np.ndarray, float]], list]:
-        """Strict send-one/recv-one pairing on worker ``w``'s stream.
+    ) -> list[tuple[int, np.ndarray, float]] | None:
+        """One frame out, one frame back on worker ``w``'s stream.
 
-        The pairing can never deadlock (at most one request and one
-        reply in flight per stream) and keeps the per-worker solve order
-        deterministic.  Returns ``(done, undone)``: a broken stream ends
-        the batch early instead of raising, so the caller can recover
-        the undone tail elsewhere.  A send to a dead peer is a worker
-        death exactly like a failed recv (whether it surfaces here or on
-        the reply is a TCP timing accident), so both end the batch.
-        Worker-reported kernel error frames raise out of
+        At most one request and one reply in flight per stream: the
+        pairing can never deadlock and keeps the per-worker solve order
+        deterministic.  Returns the batch's ``(block, piece, seconds)``
+        triples, or ``None`` when the stream broke -- it does not raise,
+        so the caller can recover the batch elsewhere.  A send to a dead
+        peer is a worker death exactly like a failed recv (whether it
+        surfaces here or on the reply is a TCP timing accident), so
+        both lose the batch.  The reply proves life once per batch, so
+        its absolute receive deadline is the per-block bound times the
+        batch size.  Worker-reported kernel error frames raise out of
         :meth:`_recv_reply` as ``RuntimeError`` and are deliberately NOT
         caught here: a broken kernel must surface to the caller, never
         be misread as a worker loss and "recovered" into an infinite
         refactor loop.
         """
-        done: list[tuple[int, np.ndarray, float]] = []
         timeout = self._solve_timeout()
-        for i, (l, z) in enumerate(tasks):
-            try:
-                # Re-arm the base timeout per task: a deadline-bounded
-                # receive below may leave the socket with whatever sliver
-                # of time remained, and the next send must not inherit it.
-                self._socks[w].settimeout(timeout)
-                self._send_solve(w, l, z)
-                # Per-block deadline: absolute from this block's dispatch,
-                # so stragglers and trickled chunks cannot extend it.
-                _, _, rl, piece, dt = self._recv_reply(
-                    w, "done", key=l, deadline=time.monotonic() + timeout
-                )
-            except (OSError, WorkerGone):
-                return done, tasks[i:]
-            done.append((rl, piece, dt))
-        return done, []
+        blocks = tuple(l for l, _ in tasks)
+        try:
+            # Re-arm the base timeout per batch: a deadline-bounded
+            # receive may leave the socket with whatever sliver of time
+            # remained, and the next send must not inherit it.
+            self._socks[w].settimeout(timeout)
+            self._send_solve(w, tasks)
+            _, _, batch, seconds, pieces = self._recv_reply(
+                w, "done", key=blocks,
+                deadline=time.monotonic() + timeout * len(tasks),
+            )
+        except (OSError, WorkerGone):
+            return None
+        return list(zip(batch, pieces, seconds))
 
     def solve_blocks(
         self, tasks: Sequence[tuple[int, np.ndarray]]
@@ -480,30 +505,32 @@ class SocketExecutor(FleetExecutor):
                 w: self._io_pool.submit(self._run_worker_tasks, w, wtasks)
                 for w, wtasks in by_worker.items()
             }
-            failures: dict[int, list] = {}
+            failed: list[int] = []
             errors: list[Exception] = []
             for w, fut in futures.items():
                 try:
-                    done, undone = fut.result()
+                    done = fut.result()
                 except Exception as exc:  # kernel error frames raise through
                     errors.append(exc)
+                    continue
+                if done is None:
+                    failed.append(w)
                     continue
                 for l, piece, dt in done:
                     pieces[l] = piece
                     self._block_seconds[l] += dt
-                if undone:
-                    failures[w] = undone
             if errors:
                 raise errors[0]
-            if not failures:
+            if not failed:
                 break
             if self._policy is None:
                 raise RuntimeError(
-                    f"socket workers died mid-solve: {sorted(failures)} "
+                    f"socket workers died mid-solve: {sorted(failed)} "
                     "(attach with a FaultPolicy to recover)"
                 )
-            self._recover(sorted(failures))
-            todo = [t for _, undone in sorted(failures.items()) for t in undone]
+            failed.sort()
+            self._recover(failed)
+            todo = [t for w in failed for t in by_worker[w]]
         if tracer is not None:
             # One aggregated wait span + wire event pair per round on the
             # driver lane; the per-block detail lives on the worker lanes.
@@ -564,10 +591,10 @@ class SocketExecutor(FleetExecutor):
 class _SocketStream(SolveStream):
     """Out-of-order solve stream over the socket fleet.
 
-    The driver thread sends solve frames the moment a block's gates
-    open; one receive loop per active worker (on the executor's io
-    pool) collects that worker's replies in stream FIFO order and feeds
-    a shared completion queue.  Each loop only touches its socket when
+    The driver thread sends a single-block solve frame the moment a
+    block's gates open; one receive loop per active worker (on the
+    executor's io pool) collects that worker's replies in stream FIFO
+    order and feeds a shared completion queue.  Each loop only touches its socket when
     a reply is actually due (a ``want`` queue of dispatched blocks), so
     the per-request deadline keeps its meaning.  No mid-stream
     recovery: a worker death fails the stream -- the barrier path owns
@@ -594,7 +621,7 @@ class _SocketStream(SolveStream):
             if l is None:
                 return
             try:
-                _, _, rl, piece, dt = ex._recv_reply(w, "done", key=l)
+                _, _, (rl,), (dt,), (piece,) = ex._recv_reply(w, "done", key=(l,))
             except Exception as exc:
                 self._done_q.put(("error", exc))
                 return
@@ -607,7 +634,7 @@ class _SocketStream(SolveStream):
         l = int(l)
         w = self._ex._owner[l]
         try:
-            self._ex._send_solve(w, l, z)
+            self._ex._send_solve(w, [(l, z)])
         except OSError as exc:
             raise RuntimeError(
                 f"socket worker {w} died mid-stream: {exc}"
@@ -661,9 +688,10 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="chaos knob: hard-exit the worker after N solve replies, "
-        "simulating a mid-run node failure (for drills against a real "
-        "fleet's FaultPolicy recovery)",
+        help="chaos knob: hard-exit the worker after N block solves "
+        "(mid-batch when N falls inside a round), simulating a mid-run "
+        "node failure (for drills against a real fleet's FaultPolicy "
+        "recovery)",
     )
     args = parser.parse_args(argv)
     chaos = (

@@ -5,9 +5,10 @@ The seed wire format pickled every message into one in-band blob:
 bytes are copied several times per hop -- once into the pickle stream,
 once into the length-prefixed send buffer, and on the receive side
 through chunk accumulation and back out of the unpickler.  On a
-many-block problem the per-round traffic is ``L`` full-length local
-copies plus ``L`` pieces, so those copies *are* the per-round overhead
-once the band solves are cheap.
+many-block problem the per-round traffic is ``L`` halos (the rows of the
+local copy each block's ``Dep`` reads) plus ``L`` pieces, batched into
+one frame per worker each way, so those copies *are* the per-round
+overhead once the band solves are cheap.
 
 This module replaces that with out-of-band frames:
 
@@ -98,10 +99,11 @@ class BufferPool:
     ``take(key, nbytes)`` returns a ``bytearray`` of exactly ``nbytes``,
     cycling through ``depth`` slots per key.  A buffer handed out for a
     key is therefore guaranteed untouched until ``depth`` further takes
-    of the *same* key -- with per-``(worker, block)`` keys and the
-    drivers' one-solve-per-block-per-round discipline that means a
-    round's piece stays valid for ``depth`` more rounds of its block.
-    Callers that retain pieces longer must copy them.
+    of the *same* key -- with per-worker pools keyed by the reply's
+    batch of blocks and the drivers' one-solve-per-block-per-round
+    discipline that means a round's pieces stay valid for ``depth``
+    more rounds of their batch (a pipelined stream's batches are single
+    blocks).  Callers that retain pieces longer must copy them.
     """
 
     def __init__(self, depth: int = DEFAULT_POOL_DEPTH):
@@ -268,8 +270,8 @@ def recv_frame(
     arrived straight into their final buffers).  ``deadline`` (an
     absolute ``time.monotonic`` instant) bounds the *whole* frame read:
     every receive syscall is re-armed with the remaining time, so a
-    trickling peer cannot stretch one reply past it (the per-block
-    reply deadline the executors' fault policies arm).  Out-of-band
+    trickling peer cannot stretch one reply past it (the batch reply
+    deadline the executors' fault policies arm).  Out-of-band
     buffers are
     taken from ``pool`` under ``(key, i)`` when the frame is flagged
     transient and a pool is given; otherwise each gets a fresh

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MultisplittingSolver
-from repro.core.local import build_local_system
+from repro.core.local import build_local_system, halo_columns
 from repro.core.partition import (
     interleaved_partition,
     permuted_bands,
@@ -24,7 +24,7 @@ from repro.core.partition import (
 )
 from repro.direct import get_solver
 from repro.direct.cache import FactorizationCache
-from repro.matrices import cage_like
+from repro.matrices import cage_like, diagonally_dominant
 from repro.runtime import InlineExecutor, ProcessExecutor
 
 
@@ -132,9 +132,13 @@ class TestMaskEqualsLilReference:
                 assert got.rhs_flops == 2.0 * want_dep.nnz
                 assert got.cache_key == cache.key_for(solver, want_a)
                 np.testing.assert_array_equal(got.b_sub, b[rows])
-            np.testing.assert_array_equal(
-                np.unique(via_csr.dep.indices), boundary[l]
-            )
+            # One derivation of "what Dep reads": the helper, the
+            # partition's pattern-level view and the built system agree,
+            # whatever order the rows came in.
+            halo = halo_columns(A[rows, :], rows)
+            assert halo.dtype == np.int64
+            np.testing.assert_array_equal(halo, boundary[l])
+            np.testing.assert_array_equal(halo, np.unique(via_csr.dep.indices))
 
     def test_single_block_has_an_empty_dep(self):
         A = cage_like(40, seed=1)
@@ -142,6 +146,81 @@ class TestMaskEqualsLilReference:
         system = build_local_system(A, np.ones(40), rows, 0, get_solver("scipy"))
         _assert_same_csr(system.dep, _lil_reference(A[rows, :], rows)[1])
         assert system.dep.nnz == 0 and system.rhs_flops == 0.0
+
+
+def _scrambled(A: sp.csr_matrix) -> sp.csr_matrix:
+    """``A`` in non-canonical form: every row's entries reversed, each
+    followed by a cancelling pair on a far column and a stored zero."""
+    n = A.shape[0]
+    data, indices, indptr = [], [], [0]
+    for i in range(n):
+        lo, hi = A.indptr[i], A.indptr[i + 1]
+        far = (i + n // 2) % n
+        data += [*A.data[lo:hi][::-1], 3.0, -3.0, 0.0]
+        indices += [*A.indices[lo:hi][::-1], far, far, (far + 1) % n]
+        indptr.append(len(data))
+    out = sp.csr_matrix((data, indices, indptr), shape=A.shape)
+    assert not out.has_canonical_format
+    return out
+
+
+class TestFleetHaloIsDepColumns:
+    """What a fleet round ships of ``z`` is exactly what ``Dep`` reads:
+    the binding's halo, ``boundary_columns`` and the built systems'
+    ``dep`` columns are one set, and the z-plane slots are cut to it."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        ex = ProcessExecutor(max_workers=2)
+        yield ex
+        ex.close()
+
+    @staticmethod
+    def _partition(kind: str, n: int, L: int):
+        if kind == "band":
+            return uniform_bands(n, L).to_general()
+        if kind == "schwarz":
+            return uniform_bands(n, L, overlap=5).to_general()
+        if kind == "interleaved":
+            return interleaved_partition(n, L, chunk=4)
+        perm = np.random.default_rng(3).permutation(n)
+        return permuted_bands(perm, L, overlap=3)
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("L", [1, 4])
+    @pytest.mark.parametrize("kind", ["band", "schwarz", "interleaved", "permuted"])
+    def test_halo_plane_and_dep_agree(self, fleet, kind, L, canonical):
+        n = 72
+        A = diagonally_dominant(n, dominance=1.5, bandwidth=4, seed=9).tocsr()
+        if not canonical:
+            A = _scrambled(A)
+        before = _csr_bytes(A)
+        b = np.linspace(1.0, 2.0, n)
+        part = self._partition(kind, n, L)
+        boundary = part.boundary_columns(A)
+        kernel = get_solver("scipy")
+        z = np.linspace(-1.0, 1.0, n)
+        z.flags.writeable = False
+        with InlineExecutor() as inline:
+            inline.attach(A, b, part.sets, kernel)
+            deps = [np.unique(system.dep.indices) for system in inline.systems]
+            ref = inline.solve_round([z] * L)
+        fleet.attach(A, b, part.sets, kernel)
+        try:
+            for l in range(L):
+                np.testing.assert_array_equal(fleet._halo[l], boundary[l])
+                np.testing.assert_array_equal(fleet._halo[l], deps[l])
+            assert fleet._z_plane.shapes == [(h.size,) for h in boundary]
+            if L == 1:  # nothing outside J_0: an empty halo, a zero-size slot
+                assert fleet._z_plane.shapes == [(0,)]
+            got = fleet.solve_round([z] * L)
+            sent = fleet.wire_stats()["vector_bytes_sent"]
+        finally:
+            fleet.detach()
+        assert sent == 8 * sum(h.size for h in boundary)
+        for x, y in zip(got, ref):
+            np.testing.assert_array_equal(x, y)
+        assert _csr_bytes(A) == before  # the caller's matrix is only read
 
 
 class TestCallerBandUntouched:

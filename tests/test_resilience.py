@@ -137,6 +137,73 @@ class TestProcessRecovery:
         finally:
             ex2.close()
 
+    def test_broken_ticket_pipe_is_a_dead_worker(self):
+        """Tickets travel on a pipe, and a pipe whose reader was
+        SIGKILLed *refuses* the write (a queue buffered it).  On the
+        solve path the refusal is swallowed and the liveness sweep that
+        follows finds the corpse: same recovery, same counters."""
+        import os
+        import signal
+
+        A, b, part, _ = _problem()
+        ex = ProcessExecutor(max_workers=2)
+        try:
+            ex.attach(A, b, part.sets, get_solver("scipy"), fault_policy=_POLICY)
+            z = np.zeros(b.shape)
+            first = ex.solve_round([z] * part.nprocs)
+            os.kill(ex._procs[1].pid, signal.SIGKILL)
+            ex._procs[1].join(timeout=10.0)
+            assert not ex._procs[1].is_alive()
+            with pytest.raises(OSError):
+                ex._tickets[1].send(("stats", -1))
+            second = ex.solve_round([z] * part.nprocs)
+            for x, y in zip(first, second):
+                np.testing.assert_array_equal(x, y)
+            fault = ex.fault_stats()
+            assert (fault.workers_lost, fault.blocks_requeued) == (1, 2)
+            assert ex.alive_workers() == [0]
+        finally:
+            ex.close()
+
+    def test_stuck_binding_pipe_fails_the_attach_not_the_driver(self, monkeypatch):
+        """A worker that stopped reading (SIGSTOP) blocks a pipe write
+        once the frame outgrows the pipe's buffer.  Binding frames are
+        written under the reply-wait bound: on expiry the worker is
+        declared gone and the attach transaction re-homes its blocks."""
+        import os
+        import signal
+
+        import repro.runtime.processes as processes
+
+        monkeypatch.setattr(processes, "_REPLY_TIMEOUT", 2.0)
+        small_A, small_b, small_part, _ = _problem()
+        n = 40000
+        A = diagonally_dominant(n, dominance=1.5, bandwidth=6, seed=2)
+        b = np.ones(n)
+        part = uniform_bands(n, 2).to_general()
+        z = np.zeros(n)
+        with InlineExecutor() as inline:
+            inline.attach(A, b, part.sets, get_solver("scipy"))
+            ref = inline.solve_round([z] * 2)
+        ex = ProcessExecutor(max_workers=2)
+        try:
+            ex.attach(small_A, small_b, small_part.sets, get_solver("scipy"))
+            ex.detach()  # both workers are up and idle
+            os.kill(ex._procs[1].pid, signal.SIGSTOP)
+            t0 = time.monotonic()
+            ex.attach(A, b, part.sets, get_solver("scipy"), fault_policy=_POLICY)
+            elapsed = time.monotonic() - t0
+            # far more than any pipe buffers, so the write did block
+            assert ex.attach_payload_bytes[0] > 1 << 20
+            assert 2.0 <= elapsed < 20.0
+            fault = ex.fault_stats()
+            assert (fault.workers_lost, fault.blocks_requeued) == (1, 1)
+            assert ex.alive_workers() == [0]
+            for x, y in zip(ex.solve_round([z] * 2), ref):
+                np.testing.assert_array_equal(x, y)
+        finally:
+            ex.close()
+
     def test_dead_worker_without_policy_still_raises(self):
         A, b, part, _ = _problem()
         ex = ProcessExecutor(max_workers=2)
@@ -314,6 +381,131 @@ class TestPerBlockDeadline:
             ex.close()
 
 
+def _fleet(backend):
+    if backend == "processes":
+        return ProcessExecutor(max_workers=2)
+    return SocketExecutor(workers=2)
+
+
+def _three_and_one(n):
+    """Blocks 0-2 on worker 0, block 3 on worker 1."""
+    return Placement(
+        strategy="test",
+        n=n,
+        workers=(WorkerSlot(name="deep"), WorkerSlot(name="shallow")),
+        sizes=(n // 4,) * 4,
+        assignment=(0, 0, 0, 1),
+    )
+
+
+@pytest.mark.parametrize("backend", ["processes", "sockets"])
+class TestBatchFaultSemantics:
+    """A fleet round is one frame out and one reply back per worker, so
+    a reply proves life once per *batch*: a worker owing ``m`` blocks is
+    overdue after ``m x deadline``, a worker lost mid-batch has the
+    whole batch re-dispatched, and a kernel error inside a batch is
+    still the caller's error, never a worker loss."""
+
+    def test_deep_batch_within_m_deadlines_is_not_a_hang(self, backend):
+        A, b, part, _ = _problem()
+        deadline = 0.5
+        # Every block's first solve takes 0.8 x deadline: worker 0's
+        # three-block batch answers after 2.4 x deadline -- late for one
+        # block, in time for three.
+        kernels = [
+            StragglerSolver(
+                get_solver("scipy"), seconds=0.8 * deadline, slow_calls=(1,)
+            )
+            for _ in range(4)
+        ]
+        z = np.zeros(b.shape)
+        with InlineExecutor() as inline:
+            inline.attach(A, b, part.sets, get_solver("scipy"))
+            ref = inline.solve_round([z] * 4)
+        ex = _fleet(backend)
+        try:
+            ex.attach(
+                A, b, part.sets, kernels,
+                placement=_three_and_one(A.shape[0]),
+                fault_policy=FaultPolicy(heartbeat_interval=0.1, deadline=deadline),
+            )
+            t0 = time.monotonic()
+            pieces = ex.solve_round([z] * 4)
+            assert time.monotonic() - t0 > 2.0 * deadline  # it really was deep
+            assert ex.fault_stats().workers_lost == 0
+            assert ex.alive_workers() == [0, 1]
+            for x, y in zip(pieces, ref):
+                np.testing.assert_array_equal(x, y)
+        finally:
+            ex.close()
+
+    def test_death_mid_batch_redispatches_the_whole_batch(self, backend):
+        import threading
+
+        A, b, part, _ = _problem()
+        # Worker 0 owns blocks 0-2; block 1 stalls on its second solve,
+        # so in round 2 the kill lands after block 0 was solved and
+        # before the batch's single reply.
+        kernels = [get_solver("scipy")] * 4
+        kernels[1] = StragglerSolver(get_solver("scipy"), seconds=5.0, slow_calls=(2,))
+        z = np.linspace(0.0, 1.0, b.shape[0])
+        with InlineExecutor() as inline:
+            inline.attach(A, b, part.sets, get_solver("scipy"))
+            ref = inline.solve_round([z] * 4)
+        ex = _fleet(backend)
+        try:
+            ex.attach(
+                A, b, part.sets, kernels,
+                placement=_three_and_one(A.shape[0]), fault_policy=_POLICY,
+            )
+            ex.solve_round([z] * 4)
+            frames = ex.wire_stats()["solve_frames_sent"]
+            killer = threading.Timer(0.4, ex.kill_worker, args=(0,))
+            killer.start()
+            try:
+                t0 = time.monotonic()
+                pieces = ex.solve_round([z] * 4)
+                elapsed = time.monotonic() - t0
+            finally:
+                killer.cancel()
+                killer.join(timeout=10.0)
+            assert 0.4 <= elapsed < 4.0  # died mid-stall, did not sit it out
+            fault = ex.fault_stats()
+            assert fault.workers_lost == 1
+            assert fault.blocks_requeued == 3  # the batch, whole
+            assert ex.alive_workers() == [1]
+            assert set(ex.owner_map().values()) == {1}
+            # round 2 cost: one frame per worker, then the dead worker's
+            # batch again as ONE frame to its new owner
+            assert ex.wire_stats()["solve_frames_sent"] == frames + 3
+            for x, y in zip(pieces, ref):
+                np.testing.assert_array_equal(x, y)
+        finally:
+            ex.close()
+
+    def test_kernel_error_mid_batch_is_not_a_worker_loss(self, backend):
+        A, b, part, _ = _problem()
+        # Block 1's kernel raises on its first solve: the second block
+        # of worker 0's batch.
+        kernels = [get_solver("scipy")] * 4
+        kernels[1] = FlakySolver(get_solver("scipy"), fail_solves=(1,))
+        z = np.zeros(b.shape)
+        ex = _fleet(backend)
+        try:
+            ex.attach(
+                A, b, part.sets, kernels,
+                placement=_three_and_one(A.shape[0]),
+                fault_policy=FaultPolicy(heartbeat_interval=0.1, deadline=5.0),
+            )
+            with pytest.raises(RuntimeError, match="InjectedFault"):
+                ex.solve_round([z] * 4)
+            fault = ex.fault_stats()
+            assert fault.workers_lost == 0 and fault.blocks_requeued == 0
+            assert ex.alive_workers() == [0, 1]
+        finally:
+            ex.close()
+
+
 class TestSocketRecovery:
     def test_requeue_after_direct_kill(self):
         A, b, part, scheme = _problem()
@@ -384,8 +576,9 @@ class TestSocketRecovery:
 
     def test_external_fleet_crash_after_recovers(self):
         """A real remote-style fleet: one worker self-destructs after N
-        solves (the --crash-after chaos knob) and the driver requeues
-        onto the surviving external worker."""
+        block solves (the --crash-after chaos knob; N = 3 falls between
+        the two blocks of its second batch) and the driver requeues the
+        whole batch onto the surviving external worker."""
         import multiprocessing as mp
 
         ctx = mp.get_context()

@@ -416,6 +416,107 @@ class TestSchedulesAreOneIteration:
         np.testing.assert_array_equal(res.x, ref.x)
 
 
+class TestRoundIsOneFrameAndOneFold:
+    """The round path as counts: a fleet round is one ``solve`` frame out
+    and one ``done`` frame back per active worker, carrying only the
+    halo ``Dep`` reads; the driver folds one local copy per round when
+    the weighting gives every block the same one; and nobody writes it."""
+
+    ROUNDS = 7
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("name", ["processes", "sockets"])
+    def test_frames_and_halo_bytes_per_round(self, name, k):
+        A, b, part, scheme = _problem()
+        if k > 1:
+            b = np.column_stack([(j + 1.0) * b for j in range(k)])
+        ex = _make_executor(name)
+        try:
+            res = multisplitting_iterate(
+                A, b, part, scheme, get_solver("scipy"), executor=ex,
+                stopping=StoppingCriterion(tolerance=1e-300, max_iterations=self.ROUNDS),
+            )
+        finally:
+            ex.close()
+        wire = res.wire
+        workers = _KWARGS[name].get("max_workers") or _KWARGS[name]["workers"]
+        assert wire["solve_frames_sent"] == self.ROUNDS * workers
+        assert wire["solve_frames_received"] == self.ROUNDS * workers
+        halo = 8 * k * sum(h.size for h in part.boundary_columns(A))
+        piece = 8 * k * sum(rows.size for rows in part.sets)
+        assert 0 < halo < piece  # thin bands: far less out than back
+        if name == "processes":
+            assert wire["vector_bytes_sent"] == self.ROUNDS * halo
+            assert wire["vector_bytes_received"] == self.ROUNDS * piece
+        else:
+            # The frames' out-of-band buffers are exactly those vectors;
+            # the byte counters add the pickled frame heads.
+            assert wire["copies_avoided"] == self.ROUNDS * (halo + piece)
+            assert wire["vector_bytes_sent"] < self.ROUNDS * (halo + 512 * workers)
+
+    @pytest.mark.parametrize(
+        "weighting, folds_per_round", [("ownership", 1), ("averaging", 1), ("schwarz", 4)]
+    )
+    def test_one_fold_per_round_when_the_weighting_allows(
+        self, monkeypatch, weighting, folds_per_round
+    ):
+        from repro.core.session import RunSession
+
+        A = diagonally_dominant(96, dominance=1.5, bandwidth=4, seed=5)
+        b, _ = rhs_for_solution(A, seed=6)
+        part = uniform_bands(96, 4, overlap=6).to_general()
+        scheme = make_weighting(weighting, part)
+        stopping = StoppingCriterion(tolerance=1e-300, max_iterations=self.ROUNDS)
+        # fold_round is the per-block folds, array for array
+        run = RunSession(A, b, part, scheme, get_solver("scipy"), stopping=stopping)
+        rng = np.random.default_rng(0)
+        pieces = [rng.standard_normal(rows.size) for rows in part.sets]
+        copies = run.fold_round(pieces)
+        assert len(copies) == 4
+        for l, z in enumerate(copies):
+            np.testing.assert_array_equal(z, run.fold(l, pieces.__getitem__))
+        shared = all(z is copies[0] for z in copies)
+        assert shared == (folds_per_round == 1)
+        assert copies[0].flags.writeable != shared
+        # and a barrier run calls fold that many times per round
+        calls: list[int] = []
+        fold = RunSession.fold
+        monkeypatch.setattr(
+            RunSession, "fold",
+            lambda self, l, piece_of: calls.append(l) or fold(self, l, piece_of),
+        )
+        multisplitting_iterate(
+            A, b, part, scheme, get_solver("scipy"), stopping=stopping
+        )
+        assert len(calls) == self.ROUNDS * folds_per_round
+
+    @pytest.mark.parametrize("chaos", [False, True])
+    def test_the_shared_local_copy_is_only_read(self, backend, chaos):
+        A, b, part, _ = _problem()
+        z = np.linspace(-1.0, 1.0, b.shape[0])
+        z.flags.writeable = False  # a write anywhere in-process raises
+        before = z.tobytes()
+        with get_executor("inline") as inline:
+            inline.attach(A, b, part.sets, get_solver("scipy"))
+            ref = inline.solve_round([z] * part.nprocs)
+        ex = _make_executor(backend)
+        if chaos:
+            ex = ChaosExecutor(ex, FaultInjector(seed=1, drop_rounds=(1,)))
+        try:
+            ex.attach(A, b, part.sets, get_solver("scipy"))
+            got = ex.solve_round([z] * part.nprocs)
+            with ex.open_stream() as stream:
+                for l in range(part.nprocs):
+                    stream.submit(l, z)
+                streamed = dict(stream.next_done() for _ in range(part.nprocs))
+        finally:
+            ex.close()
+        assert z.tobytes() == before
+        for l, want in enumerate(ref):
+            np.testing.assert_array_equal(got[l], want)
+            np.testing.assert_array_equal(streamed[l], want)
+
+
 class TestCrashSafety:
     """Satellite regression: a dead worker must not hang (or fail) close."""
 

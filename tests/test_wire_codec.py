@@ -181,6 +181,36 @@ class TestRoundTrip:
         _assert_identical(arr, out[3])
         _assert_identical(arr + 1.0, out2[3])
 
+    def test_batch_reply_pools_each_piece_under_a_tuple_key(self):
+        """The fleets' ``done`` frame: one transient frame, one buffer
+        per piece of the batch (a zero-size one included), received
+        under the batch's tuple key -- pooled per ``(key, i)``."""
+        pool = BufferPool(depth=4)
+        batch = (2, 5, 7)
+        pieces = [np.arange(96.0), np.arange(40.0).reshape(20, 2), np.empty(0)]
+        frame = ("done", 3, list(batch), [0.1, 0.2, 0.0], pieces)
+        out, sinfo, rinfo = _roundtrip(frame, transient=True, pool=pool, key=batch)
+        assert out[:4] == frame[:4]
+        assert sinfo["oob_buffers"] == 3
+        assert rinfo["oob_bytes"] == sum(p.nbytes for p in pieces)
+        for sent, got in zip(pieces, out[4]):
+            _assert_identical(sent, got)
+        assert set(pool._slots) == {(batch, 0), (batch, 1), (batch, 2)}
+        # the next round of the same batch rotates every slot: the
+        # previous round's pieces stay intact
+        again, _, _ = _roundtrip(
+            ("done", 3, list(batch), [0.1, 0.2, 0.0], [p + 1.0 for p in pieces]),
+            transient=True, pool=pool, key=batch,
+        )
+        for sent, old, new in zip(pieces, out[4], again[4]):
+            _assert_identical(sent, old)
+            _assert_identical(sent + 1.0, new)
+        # a single-block batch of one of the same blocks is another key
+        _roundtrip(
+            ("done", 3, [5], [0.0], [pieces[1]]), transient=True, pool=pool, key=(5,)
+        )
+        assert ((5,), 0) in pool._slots and len(pool._slots) == 4
+
     def test_non_transient_frames_skip_pool(self):
         pool = BufferPool(depth=2)
         arr = np.arange(64.0)
