@@ -12,7 +12,8 @@ not stored and cost nothing: the matrix is pruned).
 
 ``ASub`` is factorized **once** (Remark 4); every call to
 :meth:`LocalSystem.solve_with` reuses the factors, and the handle exposes
-the factor/solve flop counts so the simulator can charge realistic times.
+the factor/solve flop counts so the simulator can charge realistic times
+(read through to the kernel's statistics when asked; a real run never asks).
 
 When a :class:`repro.direct.cache.FactorizationCache` is supplied, the
 factorization is obtained (and every re-solve resolved) *through the
@@ -97,7 +98,10 @@ class LocalSystem:
     rhs_flops:
         Flops of one right-hand-side update (``2 nnz(dep)``).
     factor_flops / solve_flops / factor_memory_bytes:
-        Forwarded from the kernel's :class:`~repro.direct.base.FactorStats`.
+        Properties reading through to the kernel's
+        :class:`~repro.direct.base.FactorStats` -- not stored, so building
+        and solving a system never asks a kernel for statistics it may
+        compute lazily; only the simulated drivers do.
     solver / cache / cache_key:
         When built through a :class:`~repro.direct.cache.FactorizationCache`,
         the kernel and precomputed key used to resolve the factors on every
@@ -111,9 +115,6 @@ class LocalSystem:
     dep: sp.csr_matrix
     b_sub: np.ndarray
     rhs_flops: float
-    factor_flops: float
-    solve_flops: float
-    factor_memory_bytes: int
     a_sub: sp.csr_matrix | None = None
     solver: DirectSolver | None = None
     cache: FactorizationCache | None = None
@@ -123,6 +124,18 @@ class LocalSystem:
     def size(self) -> int:
         """Number of unknowns this processor solves (``|J_l|``)."""
         return int(self.rows.size)
+
+    @property
+    def factor_flops(self) -> float:
+        return self.factorization.stats.factor_flops
+
+    @property
+    def solve_flops(self) -> float:
+        return self.factorization.stats.solve_flops
+
+    @property
+    def factor_memory_bytes(self) -> int:
+        return self.factorization.stats.memory_bytes
 
     def _factors(self) -> Factorization:
         """Resolve the factorization, through the cache when one is attached."""
@@ -250,9 +263,6 @@ def build_local_system(
         dep=dep,
         b_sub=b_sub,
         rhs_flops=2.0 * dep.nnz,
-        factor_flops=fact.stats.factor_flops,
-        solve_flops=fact.stats.solve_flops,
-        factor_memory_bytes=fact.stats.memory_bytes,
         a_sub=a_sub.tocsr(),
         solver=solver,
         cache=cache,

@@ -28,10 +28,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.result import STATUS_MAXITER, STATUS_OK, SolveResult
-from repro.linalg.norms import max_norm, residual_norm
+from repro.linalg.norms import residual_norm
 from repro.observe import resolve_trace
 
 __all__ = ["RunSession"]
+
+
+def _span(idx: np.ndarray):
+    """``idx`` as a ``slice`` when it is a run of consecutive integers.
+
+    Bands and Schwarz sets are; interleaved and permuted ones are not and
+    keep their index array.  Either selects the same elements in the same
+    order, but a slice is a view: no gather, no scatter, no temporary.
+    """
+    if idx.size and np.all(np.diff(idx) == 1):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 def _resolve_executor(executor):
@@ -112,7 +124,16 @@ class RunSession:
             and all(np.array_equal(w[k], w0) for k, w0 in self.weights[0].items())
             for w in self.weights[1:]
         )
-        self._core_sel = [np.isin(partition.sets[l], partition.core[l]) for l in range(L)]
+        #: Per block: where ``J_l`` sits in a full-length vector, where
+        #: ``core_l`` does, and where ``core_l`` sits inside a piece over
+        #: ``J_l`` (both sorted, core a subset) -- slices where they can be.
+        self._sets = [_span(J) for J in partition.sets]
+        self._core = [_span(C) for C in partition.core]
+        self._core_sel = [
+            _span(np.searchsorted(J, C)) for J, C in zip(partition.sets, partition.core)
+        ]
+        #: The diff monitor's one full-length temporary.
+        self._diff = np.empty(b.shape)
         self.state = stopping.new_state()
         self.controller = None
         self.x = self.z0.copy()
@@ -153,10 +174,13 @@ class RunSession:
         ``piece_of(k)`` supplies the piece of block ``k`` this fold
         reads -- the current round's, a stale one, the latest published;
         that choice is the schedule.  It is called once per term, in the
-        weighting family's term order.
+        weighting family's term order.  Each term is added in place
+        through ``J_k``'s span (a view of ``z`` for a contiguous set);
+        ``z`` itself is a fresh array, which pipelined and chaotic
+        schedules keep in flight.
         """
         z = np.zeros(self.b.shape)
-        sets = self.partition.sets
+        sets = self._sets
         for k, w in self.weights[l].items():
             z[sets[k]] += w * piece_of(k)
         return z
@@ -176,9 +200,14 @@ class RunSession:
         return [z] * self.nblocks
 
     def assemble(self, pieces) -> np.ndarray:
-        """The global estimate from the owned (core) components."""
+        """The global estimate from the owned (core) components.
+
+        Always a fresh array (callbacks may keep it); each core is copied
+        straight from its piece through the spans resolved at
+        construction.
+        """
         x = np.empty(self.b.shape)
-        for core, sel, piece in zip(self.partition.core, self._core_sel, pieces):
+        for core, sel, piece in zip(self._core, self._core_sel, pieces):
             x[core] = piece[sel]
         return x
 
@@ -207,7 +236,9 @@ class RunSession:
         if self.stopping.metric == "residual":
             value = residual_norm(self.A, x, self.b)
         else:
-            value = max_norm(x - self.x)
+            # max_norm(x - self.x), term for term, in the session's scratch.
+            d = np.subtract(x, self.x, out=self._diff)
+            value = float(np.abs(d, out=d).max()) if d.size else 0.0
         self.history.append(value)
         self.x, self.iterations = x, it
         if self.callback is not None:

@@ -9,10 +9,12 @@ kernel with exactly two operations (Remark 4 and Section 6 of the paper):
 * ``Factorization.solve(b)`` -- performed at **every outer iteration**,
   cheap (triangular solves).
 
-Every kernel reports a :class:`FactorStats` so the grid simulator can
-charge realistic compute time and memory for the factorization and for each
-re-solve, and so the "not enough memory" outcome of Table 3 can be
-reproduced faithfully.
+Every kernel reports a :class:`FactorStats` on request
+(``Factorization.stats``) so the grid simulator can charge realistic
+compute time and memory for the factorization and for each re-solve, and
+so the "not enough memory" outcome of Table 3 can be reproduced
+faithfully.  A kernel may compute it when first read: nothing on the path
+of a real solve reads it.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ class FactorStats:
 class Factorization(abc.ABC):
     """Handle returned by :meth:`DirectSolver.factor`."""
 
-    #: Populated by concrete kernels.
+    #: Populated by concrete kernels -- an attribute, or a property
+    #: computed on first read where the numbers cost something to get.
     stats: FactorStats
 
     @abc.abstractmethod

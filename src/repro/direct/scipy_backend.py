@@ -8,12 +8,18 @@ fast, independently-implemented kernel:
 * benchmarks can run at larger orders than the pure-Python kernels allow;
 * tests cross-validate our from-scratch kernels against it.
 
-Flops are not reported by SuperLU, so :class:`ScipySuperLU` reconstructs
-the standard estimate from the factor column counts:
+Flops are not reported by SuperLU, so :attr:`ScipyFactorization.stats`
+reconstructs the standard estimate from the factor column counts:
 ``flops = sum_j 2 * lnz_j * unz_j`` plus the solve cost ``2 * nnz(L+U)``.
+It does so on *first read*, not at ``factor`` time: the column counts
+need ``handle.L`` / ``handle.U``, and SuperLU keeps every matrix it hands
+out, so reading them leaves each factor resident twice.  Only the
+simulated drivers read ``stats``; a real solve never does.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -31,16 +37,38 @@ __all__ = ["ScipySuperLU", "ScipyFactorization"]
 
 
 class ScipyFactorization(Factorization):
-    """Wrapper around a ``scipy.sparse.linalg.SuperLU`` object."""
+    """Wrapper around a ``scipy.sparse.linalg.SuperLU`` object.
 
-    def __init__(self, handle, stats: FactorStats):
+    ``n`` (the order, for the shape checks) is kept apart from ``stats``
+    so that solving never materialises the statistics.
+    """
+
+    def __init__(self, handle, nnz_a: int):
         self._handle = handle
-        self.stats = stats
+        self._nnz_a = nnz_a
+        self.n = handle.shape[0]
+
+    @cached_property
+    def stats(self) -> FactorStats:
+        """Cost summary, computed when first asked for (see module header)."""
+        L, U = self._handle.L, self._handle.U
+        lnz_per_col = np.diff(L.tocsc().indptr) - 1  # exclude unit diagonal
+        unz_per_col = np.diff(U.tocsc().indptr)
+        factor_flops = float(np.sum(2.0 * lnz_per_col * unz_per_col) + np.sum(lnz_per_col))
+        nnz_factors = int(L.nnz + U.nnz)
+        return FactorStats(
+            n=self.n,
+            factor_flops=factor_flops,
+            solve_flops=2.0 * nnz_factors,
+            nnz_factors=nnz_factors,
+            memory_bytes=int(nnz_factors * (8 + 4) + 2 * (self.n + 1) * 4),
+            fill_ratio=nnz_factors / max(self._nnz_a, 1),
+        )
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        if b.shape != (self.stats.n,):
-            raise ValueError(f"rhs must have shape ({self.stats.n},)")
+        if b.shape != (self.n,):
+            raise ValueError(f"rhs must have shape ({self.n},)")
         return self._handle.solve(b)
 
     def solve_many(self, B: np.ndarray) -> np.ndarray:
@@ -48,8 +76,8 @@ class ScipyFactorization(Factorization):
         B = np.asarray(B, dtype=float)
         if B.ndim == 1:
             return self.solve(B)
-        if B.ndim != 2 or B.shape[0] != self.stats.n:
-            raise ValueError(f"B must have shape ({self.stats.n}, k), got {B.shape}")
+        if B.ndim != 2 or B.shape[0] != self.n:
+            raise ValueError(f"B must have shape ({self.n}, k), got {B.shape}")
         return self._handle.solve(B)
 
 
@@ -78,18 +106,4 @@ class ScipySuperLU(DirectSolver):
             handle = spla.splu(csc, permc_spec=self.permc_spec)
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise SingularMatrixError(str(exc)) from exc
-        L, U = handle.L, handle.U
-        lnz_per_col = np.diff(L.tocsc().indptr) - 1  # exclude unit diagonal
-        unz_per_col = np.diff(U.tocsc().indptr)
-        factor_flops = float(np.sum(2.0 * lnz_per_col * unz_per_col) + np.sum(lnz_per_col))
-        nnz_factors = int(L.nnz + U.nnz)
-        memory = int(nnz_factors * (8 + 4) + 2 * (n + 1) * 4)
-        stats = FactorStats(
-            n=n,
-            factor_flops=factor_flops,
-            solve_flops=2.0 * nnz_factors,
-            nnz_factors=nnz_factors,
-            memory_bytes=memory,
-            fill_ratio=nnz_factors / max(csc.nnz, 1),
-        )
-        return ScipyFactorization(handle, stats)
+        return ScipyFactorization(handle, csc.nnz)

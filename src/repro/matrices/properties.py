@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import networkx as nx
+from scipy.sparse.csgraph import connected_components
 
 from repro.linalg.sparse import as_csr
 from repro.linalg.spectral import absolute_spectral_radius
@@ -68,20 +68,21 @@ def is_irreducible(A) -> bool:
     """Return ``True`` when the directed adjacency graph is strongly connected.
 
     Irreducibility is what upgrades weak dominance (with one strict row) to
-    convergence in Varga's theorem; we check it exactly with
-    :mod:`networkx` on the sparsity pattern.
+    convergence in Varga's theorem; we check it exactly on the sparsity
+    pattern -- off-diagonal entries with a non-zero value, stored zeros
+    ignored -- as one strongly connected component
+    (:func:`scipy.sparse.csgraph.connected_components`).
     """
-    csr = as_csr(A)
-    n = csr.shape[0]
+    coo = as_csr(A).tocoo()
+    n = coo.shape[0]
     if n == 0:
         return True
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n))
-    coo = csr.tocoo()
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        if i != j and v != 0.0:
-            g.add_edge(int(i), int(j))
-    return nx.is_strongly_connected(g)
+    edge = (coo.row != coo.col) & (coo.data != 0)
+    pattern = sp.csr_matrix(
+        (np.ones(edge.sum(), dtype=bool), (coo.row[edge], coo.col[edge])),
+        shape=(n, n),
+    )
+    return connected_components(pattern, directed=True, connection="strong")[0] == 1
 
 
 def is_irreducibly_diagonally_dominant(A) -> bool:

@@ -5,9 +5,16 @@ lazy top-level facade must work, and the registries must stay aligned
 with the documentation.
 """
 
+import ast
 import importlib
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PACKAGES = [
     "repro",
@@ -96,3 +103,47 @@ def test_solver_classes_document_parameters():
 
     assert "overlap" in MultisplittingSolver.__doc__
     assert "ordering" in SparseLU.__doc__
+
+
+def test_imports_and_runs_without_networkx():
+    """CI installs numpy and scipy only.  ``sys.modules[name] = None`` makes
+    ``import name`` raise even where the package happens to be installed."""
+    script = (
+        "import sys; sys.modules['networkx'] = None\n"
+        "import repro, repro.runtime, repro.serve, repro.observe\n"
+        "from repro.matrices import is_irreducible, poisson_1d\n"
+        "assert is_irreducible(poisson_1d(6))\n"
+        "assert not any(m == 'networkx' or m.startswith('networkx.') "
+        "for m, v in sys.modules.items() if v is not None)\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", script], env={"PYTHONPATH": str(ROOT / "src")},
+        check=True, timeout=120,
+    )
+
+
+def test_declared_dependencies_are_exactly_what_src_imports():
+    """The next undeclared import fails here, not on a clean runner."""
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    imported = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"repro"}
+    assert third_party == {"numpy", "scipy"}
+    assert sorted(project["dependencies"]) == sorted(third_party)
+
+
+def test_pyproject_names_the_package_and_both_commands():
+    import repro
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["name"] == "repro"
+    assert project["version"] == repro.__version__
+    assert project["scripts"].keys() == {"repro-experiments", "repro-serve"}
+    for target in project["scripts"].values():
+        module, _, func = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), func))
