@@ -36,9 +36,12 @@ N = 120
 TENANTS = 2
 SKEW = 3.0  # hot tenant takes ~89% of traffic: shared-matrix heavy
 BLOCKS = 4
-POOL = 2
+POOL = 1
 DURATION = 1.0
-LOADS = (100.0, 400.0)  # req/s: comfortable, then saturating
+# req/s: comfortable, then the load that saturated request-at-a-time while
+# two pool threads convoyed on the interpreter lock (148 req/s then, ~340
+# with one batch at a time), then the one that saturates it now.
+LOADS = (100.0, 400.0, 1600.0)
 SEED = 0
 
 POLICIES = {

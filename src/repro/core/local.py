@@ -37,11 +37,14 @@ from repro.direct.cache import CacheKey, FactorizationCache
 from repro.linalg.sparse import as_csr
 
 __all__ = [
+    "BandSlice",
     "LocalSystem",
+    "bind_local_system",
     "build_local_system",
     "build_local_systems",
     "dep_entries",
     "halo_columns",
+    "slice_local_system",
 ]
 
 
@@ -198,6 +201,109 @@ class LocalSystem:
         return 2.0 * (nnz_a + self.dep.nnz)
 
 
+@dataclass
+class BandSlice:
+    """The half of a local system that reads ``A`` alone.
+
+    ``rows`` is ``J_l`` (sorted), ``a_sub`` is ``A[J_l, J_l]`` and ``dep``
+    is ``A[J_l, :]`` without the ``J_l`` columns, both canonical CSR as
+    :func:`slice_local_system` leaves them; ``a_csc`` is ``a_sub`` in
+    the CSC form every kernel is handed (a dense kernel's rounding
+    follows the memory order of its input, so the form is part of the
+    result).  Nothing here depends on a right-hand side or holds a
+    factor, so a slice may be kept for as long as its matrix is not
+    mutated and bound any number of times.
+
+    ``cache_key`` is optional: whoever keeps a slice across binds under
+    one kernel stores ``cache.key_for(kernel, a_sub)`` here, and
+    :func:`bind_local_system` then skips hashing ``a_sub`` again.
+    """
+
+    index: int
+    rows: np.ndarray
+    a_sub: sp.csr_matrix
+    a_csc: sp.csc_matrix
+    dep: sp.csr_matrix
+    cache_key: CacheKey | None = None
+
+
+def slice_local_system(
+    csr: sp.csr_matrix | None,
+    rows: np.ndarray,
+    index: int,
+    *,
+    band: sp.spmatrix | None = None,
+) -> BandSlice:
+    """Slice and prune one processor's band (``csr`` is the full A).
+
+    Pass the pre-sliced ``band`` (``A[J_l, :]``, shape ``(|J_l|, n)``)
+    instead and leave ``csr`` as ``None`` where the full matrix never
+    arrived; both inputs produce identical slices.
+
+    One pass over the band's CSR arrays -- a boolean column lookup, no
+    format change.  ``dep`` is canonical whatever the input looked like:
+    row-wise sorted indices, duplicates summed, stored and summed-to
+    zeros dropped, so its columns are exactly
+    :meth:`~repro.core.partition.GeneralPartition.boundary_columns` and
+    iterates, cache keys and ``rhs_flops`` do not depend on how ``A``
+    was assembled.  ``a_sub`` is sliced from the same canonical band.
+    The caller's ``band`` is only read.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if band is None:
+        band = csr[rows, :].tocsr()
+    else:
+        band = band.tocsr()
+        if band.shape[0] != rows.size:
+            raise ValueError(
+                f"band has {band.shape[0]} rows for an index set of {rows.size}"
+            )
+    band, keep = dep_entries(band, rows)
+    indptr = np.concatenate(([0], np.cumsum(keep)))[band.indptr]
+    dep = sp.csr_matrix(
+        (band.data[keep], band.indices[keep], indptr), shape=band.shape
+    )
+    a_csc = band[:, rows].tocsc()
+    return BandSlice(index, rows, a_csc.tocsr(), a_csc, dep)
+
+
+def bind_local_system(
+    sliced: BandSlice,
+    b_sub: np.ndarray,
+    solver: DirectSolver,
+    *,
+    cache: FactorizationCache | None = None,
+) -> LocalSystem:
+    """Bind a right-hand side to a slice and resolve its factor.
+
+    ``b_sub`` is ``b[J_l]`` (copied; the caller's array is only read).
+    Through ``cache`` the factor is one keyed
+    :meth:`~repro.direct.cache.FactorizationCache.factor` call -- a hit,
+    or the factorisation -- under ``sliced.cache_key`` when the slice
+    carries one; without a cache the kernel factors directly.
+    """
+    if cache is not None:
+        key = sliced.cache_key
+        if key is None:
+            key = cache.key_for(solver, sliced.a_sub)
+        fact = cache.factor(solver, sliced.a_csc, key=key)
+    else:
+        key = None
+        fact = solver.factor(sliced.a_csc)
+    return LocalSystem(
+        index=sliced.index,
+        rows=sliced.rows,
+        factorization=fact,
+        dep=sliced.dep,
+        b_sub=np.asarray(b_sub, dtype=float).copy(),
+        rhs_flops=2.0 * sliced.dep.nnz,
+        a_sub=sliced.a_sub,
+        solver=solver,
+        cache=cache,
+        cache_key=key,
+    )
+
+
 def build_local_system(
     csr: sp.csr_matrix | None,
     b: np.ndarray | None,
@@ -211,7 +317,7 @@ def build_local_system(
 ) -> LocalSystem:
     """Slice, prune and factor one processor's band (``csr`` is the full A).
 
-    This is the per-block body of :func:`build_local_systems`, exposed so
+    :func:`slice_local_system` then :func:`bind_local_system`, exposed so
     the parallel runtime backends can build each block where it will be
     solved (a worker thread, or a worker *process* that received the
     matrix exactly once).
@@ -222,52 +328,11 @@ def build_local_system(
     ``b_sub`` (``b[J_l]``) instead and leave ``csr``/``b`` as ``None``.
     Both construction paths produce identical systems (and identical
     cache keys, so factor reuse across re-attaches is preserved).
-
-    Set-up is one pass over the band's CSR arrays -- a boolean column
-    lookup, no format change.  ``dep`` is canonical whatever the input
-    looked like: row-wise sorted indices, duplicates summed, stored and
-    summed-to zeros dropped, so its columns are exactly
-    :meth:`~repro.core.partition.GeneralPartition.boundary_columns` and
-    iterates, cache keys and ``rhs_flops`` do not depend on how ``A``
-    was assembled.  ``a_sub`` is sliced from the same canonical band.
-    The caller's ``band`` and ``b_sub`` are only read.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    if band is None:
-        band = csr[rows, :].tocsr()
-    else:
-        band = band.tocsr()
-        if band.shape[0] != rows.size:
-            raise ValueError(
-                f"band has {band.shape[0]} rows for an index set of {rows.size}"
-            )
+    sliced = slice_local_system(csr, rows, index, band=band)
     if b_sub is None:
-        b_sub = b[rows]
-    b_sub = np.asarray(b_sub, dtype=float).copy()
-    band, keep = dep_entries(band, rows)
-    a_sub = band[:, rows].tocsc()
-    indptr = np.concatenate(([0], np.cumsum(keep)))[band.indptr]
-    dep = sp.csr_matrix(
-        (band.data[keep], band.indices[keep], indptr), shape=band.shape
-    )
-    if cache is not None:
-        key = cache.key_for(solver, a_sub)
-        fact = cache.factor(solver, a_sub, key=key)
-    else:
-        key = None
-        fact = solver.factor(a_sub)
-    return LocalSystem(
-        index=index,
-        rows=rows,
-        factorization=fact,
-        dep=dep,
-        b_sub=b_sub,
-        rhs_flops=2.0 * dep.nnz,
-        a_sub=a_sub.tocsr(),
-        solver=solver,
-        cache=cache,
-        cache_key=key,
-    )
+        b_sub = b[sliced.rows]
+    return bind_local_system(sliced, b_sub, solver, cache=cache)
 
 
 def build_local_systems(
@@ -278,6 +343,7 @@ def build_local_systems(
     *,
     cache: FactorizationCache | None = None,
     executor=None,
+    slices: "list[BandSlice] | None" = None,
 ) -> list[LocalSystem]:
     """Slice, prune, and factor every processor's band (the init step).
 
@@ -307,13 +373,26 @@ def build_local_systems(
     identical to the serial path -- blocks are independent and returned
     in rank order.
 
+    ``slices`` (one :class:`BandSlice` per entry of ``sets``, from
+    :func:`slice_local_system` on this very ``A``) skips the slicing: a
+    caller that solves one matrix against many right-hand sides -- the
+    serving pool -- slices it once and only binds here; ``A`` is then
+    not read at all.
+
     Raises whatever the direct kernel raises on singular sub-blocks; for
     the matrix classes of Section 5 every principal sub-matrix is
     non-singular, so a failure here signals an input outside the theory.
     """
-    csr = as_csr(A)
     b = np.asarray(b, dtype=float)
-    n = csr.shape[0]
+    if slices is None:
+        csr = as_csr(A)
+        n = csr.shape[0]
+
+        def slice_of(l: int) -> BandSlice:
+            return slice_local_system(csr, sets[l], l)
+    else:
+        n = slices[0].dep.shape[1]
+        slice_of = slices.__getitem__
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError(f"b must have shape ({n},) or ({n}, k)")
     if isinstance(solver, (list, tuple)):
@@ -327,7 +406,8 @@ def build_local_systems(
         per_band = [solver] * len(sets)
 
     def _build(l: int) -> LocalSystem:
-        return build_local_system(csr, b, sets[l], l, per_band[l], cache=cache)
+        sliced = slice_of(l)
+        return bind_local_system(sliced, b[sliced.rows], per_band[l], cache=cache)
 
     if executor is not None:
         return executor.map(_build, range(len(sets)))

@@ -487,7 +487,6 @@ class MultisplittingSolver:
         real work that happens on this host (setup factorizations,
         cache traffic).
         """
-        n = A.shape[0]
         if partition is not None and self.placement is not None:
             raise ValueError(
                 "an explicit partition and a placement both prescribe the "
@@ -497,26 +496,13 @@ class MultisplittingSolver:
         if trace is None:
             trace = self.trace
         if self.mode in ("sequential", "pipelined"):
-            nprocs = self.processors or 4
-            plan = self._resolve_plan(A, n, None, nprocs) if partition is None else None
-            plan, part = self._plan_and_partition(plan, partition, n, None, nprocs)
-            scheme = self._resolve_weighting(part)
-            result = multisplitting_iterate(
-                A, b, part, scheme, self.direct_solver, stopping=self.stopping,
-                x0=x0, cache=self.cache, executor=self._get_executor(),
-                placement=plan, fault_policy=self.fault_policy, trace=trace,
-                dispatch="pipelined" if self.mode == "pipelined" else "barrier",
-                elastic=self.elastic,
-            )
-            result.mode = self.mode
-            return result
+            layout = self._layout(A, partition=partition)
+            return self._iterate(A, b, layout, x0=x0, trace=trace)
 
         nprocs = self.processors or (len(cluster.hosts) if cluster is not None else 4)
         if cluster is None:
             cluster = cluster1(min(nprocs, 20))
-        plan = self._resolve_plan(A, n, cluster, nprocs) if partition is None else None
-        plan, part = self._plan_and_partition(plan, partition, n, cluster, nprocs)
-        scheme = self._resolve_weighting(part)
+        plan, part, scheme = self._layout(A, cluster, partition, nprocs)
         runner = run_synchronous if self.mode == "synchronous" else run_asynchronous
         tracer = resolve_trace(trace)
         executor = self._get_executor()
@@ -548,6 +534,32 @@ class MultisplittingSolver:
                 if self.cache is not None:
                     self.cache.set_tracer(None)
         result.trace = tracer
+        return result
+
+    def _layout(self, A, cluster=None, partition=None, nprocs=None):
+        """``(plan, partition, weighting)``: what a solve derives from ``A`` alone.
+
+        No right-hand side enters, so a caller that re-solves one
+        unchanged matrix (:class:`repro.serve.pool.SolverPool`, per
+        tenant) keeps the triple and goes straight to :meth:`_iterate`.
+        """
+        n = A.shape[0]
+        nprocs = nprocs or self.processors or 4
+        plan = self._resolve_plan(A, n, cluster, nprocs) if partition is None else None
+        plan, part = self._plan_and_partition(plan, partition, n, cluster, nprocs)
+        return plan, part, self._resolve_weighting(part)
+
+    def _iterate(self, A, b, layout, *, x0=None, trace=None) -> SolveResult:
+        """The in-process iteration of ``A x = b`` over a :meth:`_layout` of ``A``."""
+        plan, part, scheme = layout
+        result = multisplitting_iterate(
+            A, b, part, scheme, self.direct_solver, stopping=self.stopping,
+            x0=x0, cache=self.cache, executor=self._get_executor(),
+            placement=plan, fault_policy=self.fault_policy, trace=trace,
+            dispatch="pipelined" if self.mode == "pipelined" else "barrier",
+            elastic=self.elastic,
+        )
+        result.mode = self.mode
         return result
 
     def _plan_and_partition(

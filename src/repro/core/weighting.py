@@ -46,6 +46,10 @@ class WeightingScheme(abc.ABC):
 
     def __init__(self, partition: GeneralPartition):
         self.partition = partition
+        #: update_weights(l), kept: a scheme is a pure function of its
+        #: partition, and one kept across solves (the serving pool's
+        #: tenants) derives its L^2 weight vectors once.
+        self._updates: dict[int, dict[int, np.ndarray]] = {}
 
     @abc.abstractmethod
     def weight_vector(self, l: int, k: int) -> np.ndarray:
@@ -70,12 +74,18 @@ class WeightingScheme(abc.ABC):
         per component, applying each piece's weighted part and summing is
         exact when all pieces of a component arrive; components with a
         single contributor are simply overwritten.
+
+        Computed on first request and kept on the scheme; the returned
+        dict and its arrays are shared by every caller -- read them only.
         """
-        out: dict[int, np.ndarray] = {}
-        for k in range(self.partition.nprocs):
-            w = self.weight_vector(l, k)
-            if np.any(w != 0.0):
-                out[k] = w
+        out = self._updates.get(l)
+        if out is None:
+            out = {}
+            for k in range(self.partition.nprocs):
+                w = self.weight_vector(l, k)
+                if np.any(w != 0.0):
+                    out[k] = w
+            self._updates[l] = out
         return out
 
 

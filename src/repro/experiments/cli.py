@@ -177,7 +177,12 @@ def main_serve(argv: list[str] | None = None) -> int:
     parser.add_argument("--n", type=int, default=160, help="matrix order")
     parser.add_argument("--tenants", type=int, default=6, help="distinct matrices")
     parser.add_argument("--blocks", type=int, default=4, help="bands per solve")
-    parser.add_argument("--pool", type=int, default=4, help="solver worker threads")
+    parser.add_argument(
+        "--pool", type=int, default=1,
+        help="accepted for compatibility: batches iterate one at a time whatever "
+        "it says (concurrent batches convoy on the interpreter lock); "
+        "--backend processes is the way to use more cores",
+    )
     parser.add_argument("--rate", type=float, default=200.0, help="offered req/s")
     parser.add_argument("--duration", type=float, default=2.0, help="trace seconds")
     parser.add_argument("--skew", type=float, default=1.0, help="popularity skew")
@@ -199,7 +204,7 @@ def main_serve(argv: list[str] | None = None) -> int:
         "--backend",
         choices=available_backends(),
         default="inline",
-        help="runtime backend each pool worker drives (default: inline)",
+        help="runtime backend the band solves of a batch run on (default: inline)",
     )
     parser.add_argument(
         "--trace",

@@ -33,6 +33,7 @@ import abc
 import time
 import warnings
 from collections import deque
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -398,11 +399,28 @@ class InProcessExecutor(Executor):
         self._block_seconds: dict[int, float] = {}
         self._placement = None
         self._fault_policy = None
+        self._handed = (None, None, None)
+
+    def hand_over(self, A, sets, slices) -> None:
+        """Give the next :meth:`attach` of ``(A, sets)`` its bands, sliced.
+
+        ``slices`` are ``A``'s :class:`~repro.core.local.BandSlice` per
+        entry of ``sets``.  One shot: the next ``attach`` consumes the
+        hand-over, and binds the slices only when it is called with the
+        very same ``A`` and ``sets`` objects -- anything else slices as
+        usual.  This is how a caller that re-solves one matrix (the
+        serving pool) skips the slicing without ``attach`` growing a
+        keyword every executor and wrapper would have to carry.
+        """
+        self._handed = (A, sets, slices)
 
     def attach(
         self, A, b, sets, solver, *, cache=None, placement=None, fault_policy=None
     ) -> None:
         self.detach()
+        (of_A, of_sets, slices), self._handed = self._handed, (None, None, None)
+        if of_A is not A or of_sets is not sets:
+            slices = None
         self._check_placement(placement, len(sets))
         self._placement = placement
         self._fault_policy = fault_policy  # recorded; in-process blocks cannot be lost
@@ -411,15 +429,15 @@ class InProcessExecutor(Executor):
         tracer = self._tracer
         if cache is not None and tracer is not None:
             cache.set_tracer(tracer)
+        build = partial(
+            build_local_systems, A, b, sets, solver,
+            cache=cache, executor=self._setup_executor(), slices=slices,
+        )
         if tracer is None:
-            self._systems = build_local_systems(
-                A, b, sets, solver, cache=cache, executor=self._setup_executor()
-            )
+            self._systems = build()
         else:
             with tracer.span("attach", "compute", lane="driver", blocks=len(sets)):
-                self._systems = build_local_systems(
-                    A, b, sets, solver, cache=cache, executor=self._setup_executor()
-                )
+                self._systems = build()
         self._block_seconds = {l: 0.0 for l in range(len(self._systems))}
 
     def _setup_executor(self):

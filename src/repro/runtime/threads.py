@@ -1,13 +1,26 @@
 """Per-block worker threads on a persistent pool.
 
-Why threads help despite the GIL: a multisplitting block solve is one
+When threads help despite the GIL: a multisplitting block solve is one
 sparse right-hand-side update (``dep @ z``) followed by triangular solves
 through the factored band -- and the heavy parts of every bundled kernel
 (SuperLU's ``gstrs`` via SciPy, LAPACK via the dense kernel, the banded
 and sparse kernels' vectorised NumPy sweeps) drop the GIL while they run
-native code.  With ``L`` blocks and ``c`` cores, one outer iteration's
-``L`` independent solves overlap on ``min(L, c)`` cores; the factorization
-phase (``attach``) parallelises the same way and usually dominates.
+native code.  That buys overlap only when a kernel call is *long*: a
+thread that drops the lock must win it back afterwards, so two threads
+looping on a 31-39 us SuperLU ``solve`` (a 375-row band) take 66-171 us
+per pair of calls -- up to 2.8x slower than taking turns -- while a
+103-114 us call gains 1.2-1.4x and a 380-610 us call (a
+``cage_like(6000)`` band) 1.6-1.9x of the ideal 2x (2-vCPU host).  The
+crossover sits between ~45 and ~100 us per call.  With ``L`` blocks past
+it and ``c`` cores, one outer iteration's ``L`` independent solves
+overlap on ``min(L, c)`` cores; the factorization phase (``attach``,
+milliseconds per call) parallelises the same way and usually dominates.
+
+Factors are freed where they were made: SciPy releases a SuperLU object
+only on the thread that created it, and ``attach`` factors on the pool
+threads while ``detach`` drops on the driver.  The SuperLU adapter hands
+such a handle back to its maker, which releases it at its next
+``factor`` (see :mod:`repro.direct.scipy_backend`).
 
 Determinism: the pool only changes *where* each block solve runs, never
 what it computes -- each task is a pure function of ``(block, z)``, and

@@ -4,8 +4,9 @@ The paper's economics -- one expensive factorization amortized over
 many solves -- applied to *live concurrent traffic*: an asyncio
 :class:`~repro.serve.gateway.ServeGateway` coalesces requests that
 share a registered matrix into one ``(n, k)`` multisplitting round on a
-:class:`~repro.serve.pool.SolverPool` (bounded worker threads over one
-re-entrant solver facade and a capacity-bounded cross-tenant
+:class:`~repro.serve.pool.SolverPool` (one batch iterating at a time
+over one solver facade, each tenant's bands bound once, and a
+capacity-bounded cross-tenant
 :class:`~repro.direct.cache.FactorizationCache`).  Admission is bounded
 and back-pressure is typed
 (:class:`~repro.serve.gateway.GatewayOverloaded`); everything served is
@@ -16,7 +17,7 @@ Quick start::
     import asyncio
     from repro.serve import ServeGateway, SolverPool
 
-    pool = SolverPool(size=4, processors=4)
+    pool = SolverPool(processors=4)
     gw = ServeGateway(pool, window=0.005, max_batch=32)
     key = gw.register(A)
 

@@ -4,8 +4,9 @@ Requests arrive one right-hand side at a time; the gateway coalesces
 concurrent requests that share a registered matrix into one ``(n, k)``
 multisplitting round (the batching *window* bounds how long the first
 request of a round waits for company; ``max_batch`` bounds how much
-company it can get), dispatches rounds onto the
-:class:`~repro.serve.pool.SolverPool`'s worker threads, and fans the
+company it can get), queues rounds on the
+:class:`~repro.serve.pool.SolverPool`'s worker thread (one round
+iterates at a time; the event loop never waits for it), and fans the
 solution columns back out to the awaiting callers.
 
 Admission is bounded: at most ``max_pending`` requests may be queued or
@@ -13,8 +14,8 @@ in flight at once, and requests beyond that are *shed* with the typed
 :class:`GatewayOverloaded` error rather than queued into unbounded
 latency -- back-pressure is explicit, never silent.
 
-All gateway state is touched only on the event loop (solves run on pool
-threads, but their completion callbacks land back on the loop), so no
+All gateway state is touched only on the event loop (solves run on the
+pool's thread, but their completion callbacks land back on the loop), so no
 locks are needed and the per-request metrics can never tear.
 """
 
@@ -51,7 +52,7 @@ class ServeGateway:
     Parameters
     ----------
     pool:
-        The solving substrate (owns threads, facade, shared cache).
+        The solving substrate (owns the worker thread, facade, shared cache).
     window:
         Seconds the first request of a round waits for others to join.
         ``0`` flushes on the next loop tick (only same-tick arrivals

@@ -404,6 +404,17 @@ class TestGatewayRetention:
             factorizations, *per_request = np.subtract(census(), before)
             assert factorizations <= capacity
             assert all(count <= 0 for count in per_request)
+            # what a tenant was bound to is arrays, never a factor: the
+            # LRU stays the only owner
+            assert all(t.slices is not None for t in pool._tenants.values())
+            reached, frontier = set(), list(pool._tenants.values())
+            while frontier:
+                obj = frontier.pop()
+                if id(obj) in reached or isinstance(obj, (type, type(gc))):
+                    continue
+                reached.add(id(obj))
+                assert not isinstance(obj, Factorization)
+                frontier.extend(gc.get_referents(obj))
         finally:
             pool.close()
 
