@@ -1,37 +1,21 @@
-"""Wire-path benchmark: zero-copy frames and dependency-gated dispatch.
+"""Wire-path benchmark: zero-copy socket frames against the inline floor.
 
-Two experiments, one report (``BENCH_wire.json``):
-
-**Part 1 -- zero-copy socket frames.**  A bandwidth-1 diagonally
-dominant system (n = 60000, 24 blocks, local copies batched over 8
-right-hand sides so every solve message carries a multi-megabyte
-payload) is driven through a 4-worker loopback
+A bandwidth-1 diagonally dominant system (n = 60000, 24 blocks, local
+copies batched over 8 right-hand sides so every solve message carries a
+multi-megabyte payload) is driven through a 4-worker loopback
 :class:`~repro.runtime.SocketExecutor` for a fixed number of
 synchronous rounds.  Frames are pickle-protocol-5 heads whose ndarray
 payloads travel as raw out-of-band segments (vectored ``sendmsg`` on
 the way out, ``recv_into`` preallocated pooled buffers on the way in).
 The solves are near-free (tridiagonal bands), so per-round wall minus
 the busiest worker's share of the inline-measured solve cost *is* the
-wire overhead, reported per round against that inline floor.  The
-pieces must be bit-identical to :class:`~repro.runtime.InlineExecutor`.
-
-**Part 2 -- dependency-gated round dispatch.**  A skewed straggler
-topology: per-block jitter kernels stall exactly one block 25 ms per
-round, rotating with stride 3 so consecutive rounds' stragglers are
-never gate-neighbours.  Under the barrier driver every round pays the
-full stall; under ``dispatch="pipelined"`` a block whose own
-dependencies (per :func:`repro.schedule.pattern.dependency_gates`)
-have arrived is dispatched without waiting for the round barrier, so
-successive stalls overlap and the run must finish >= 1.3x faster --
-with iterates bit-identical to the barrier baseline.
-
-On low-core hosts the ratio assertion is printed but skipped
-(``REPRO_BENCH_STRICT=1`` forces it).
+wire overhead, reported per round against that inline floor
+(``BENCH_wire.json``).  The pieces must be bit-identical to
+:class:`~repro.runtime.InlineExecutor`.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -39,14 +23,12 @@ import numpy as np
 from bench_output import emit
 from conftest import run_once
 
-from repro.core import make_weighting, multisplitting_iterate, uniform_bands
-from repro.core.stopping import StoppingCriterion
+from repro.core import uniform_bands
 from repro.direct import get_solver
-from repro.direct.base import DirectSolver, Factorization
-from repro.matrices import diagonally_dominant, rhs_for_solution
-from repro.runtime import InlineExecutor, SocketExecutor, ThreadExecutor
+from repro.matrices import diagonally_dominant
+from repro.runtime import InlineExecutor, SocketExecutor
 
-#: Part 1: wire-bound problem -- big local copies (an ``(n, k)`` batched
+#: Wire-bound problem -- big local copies (an ``(n, k)`` batched
 #: right-hand-side block drives ``n * k`` doubles per message), near-free
 #: tridiagonal solves.
 WIRE_N = 60_000
@@ -56,31 +38,14 @@ WIRE_WORKERS = 4
 WIRE_ROUNDS = 6
 WIRE_WARMUP = 2
 
-#: Part 2: straggler topology -- one rotating 25 ms stall per round.
-JITTER_BLOCKS = 8
-JITTER_N = 4_096
-JITTER_STALL = 0.025
-JITTER_STRIDE = 3  # coprime with 8: the straggler visits every block,
-#                    and consecutive stragglers are never band-neighbours
-JITTER_ROUNDS = 40
-
-
-def _cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# ---------------------------------------------------------------------------
-# Part 1: zero-copy socket frames against the inline floor
-# ---------------------------------------------------------------------------
-
 
 def wire_overhead_experiment():
     """Per-round non-solve overhead of the socket wire over the inline
     solve floor (pieces checked bit-identical to inline)."""
     A = diagonally_dominant(WIRE_N, dominance=1.5, bandwidth=1, seed=3)
-    b, _ = rhs_for_solution(A, seed=4)
+    # The binding's right-hand side has the local copies' (n, k) shape:
+    # the fleets check every z against it.
+    b = np.random.default_rng(4).standard_normal((WIRE_N, WIRE_RHS))
     part = uniform_bands(WIRE_N, WIRE_BLOCKS).to_general()
     # One (n, k) batched local copy per block: every solve message ships
     # n * k doubles, so the wire dominates while attach stays cheap.
@@ -124,94 +89,9 @@ def wire_overhead_experiment():
     return {"wall": wall, "busy": busy, "overhead": wall - busy, "wire": wire}
 
 
-# ---------------------------------------------------------------------------
-# Part 2: barrier vs pipelined dispatch under a rotating straggler
-# ---------------------------------------------------------------------------
-
-
-class _JitterFactorization(Factorization):
-    """Counts its own rounds; stalls when the rotation lands on its block."""
-
-    def __init__(self, inner, block: int):
-        self.inner = inner
-        self.stats = inner.stats
-        self.block = block
-        self._round = 0
-
-    def _maybe_stall(self) -> None:
-        # One solve per block per outer round (both dispatch modes), so
-        # the per-factorization call count *is* the block's round number.
-        self._round += 1
-        if (self._round * JITTER_STRIDE) % JITTER_BLOCKS == self.block:
-            time.sleep(JITTER_STALL)
-
-    def solve(self, b):
-        self._maybe_stall()
-        return self.inner.solve(b)
-
-    def solve_many(self, B):
-        self._maybe_stall()
-        return self.inner.solve_many(B)
-
-
-class _JitterSolver(DirectSolver):
-    """Per-block wrapper kernel: knows its block, stalls on rotation."""
-
-    name = "jitter"
-
-    def __init__(self, inner, block: int):
-        self.inner = inner
-        self.block = block
-
-    def factor(self, A) -> Factorization:
-        return _JitterFactorization(self.inner.factor(A), self.block)
-
-
-def straggler_dispatch_experiment():
-    """Barrier vs pipelined wall clock under the rotating straggler."""
-    A = diagonally_dominant(JITTER_N, dominance=1.5, bandwidth=1, seed=7)
-    b, _ = rhs_for_solution(A, seed=8)
-    part = uniform_bands(JITTER_N, JITTER_BLOCKS).to_general()
-    scheme = make_weighting("ownership", part)
-    stopping = StoppingCriterion(tolerance=1e-300, max_iterations=JITTER_ROUNDS)
-
-    def solvers():
-        # Fresh wrappers per run: the round counters must start at zero.
-        inner = get_solver("scipy")
-        return [_JitterSolver(inner, l) for l in range(JITTER_BLOCKS)]
-
-    ref = multisplitting_iterate(
-        A, b, part, scheme, solvers(), stopping=stopping,
-        executor=InlineExecutor(),
-    )
-    out = {"ref": ref}
-    for dispatch in ("barrier", "pipelined"):
-        with ThreadExecutor(max_workers=JITTER_BLOCKS) as ex:
-            t0 = time.perf_counter()
-            res = multisplitting_iterate(
-                A, b, part, scheme, solvers(), stopping=stopping,
-                executor=ex, dispatch=dispatch,
-            )
-            wall = time.perf_counter() - t0
-        np.testing.assert_array_equal(res.x, ref.x)
-        assert res.history == ref.history
-        out[dispatch] = {"wall": wall, "result": res}
-    return out
-
-
-# ---------------------------------------------------------------------------
-# report
-# ---------------------------------------------------------------------------
-
-
-def test_wire_and_dispatch(benchmark):
-    def experiment():
-        return wire_overhead_experiment(), straggler_dispatch_experiment()
-
-    wire, jitter = run_once(benchmark, experiment)
-    cpus = _cpus()
+def test_wire_overhead(benchmark):
+    wire = run_once(benchmark, wire_overhead_experiment)
     print()
-    print(f"host cores: {cpus}")
     print(f"-- wire: n={WIRE_N} x {WIRE_RHS} rhs, {WIRE_BLOCKS} blocks over "
           f"{WIRE_WORKERS} socket workers, {WIRE_ROUNDS} timed rounds --")
     stats = wire["wire"]
@@ -227,38 +107,9 @@ def test_wire_and_dispatch(benchmark):
     )
     assert stats["copies_avoided"] > 0
 
-    print(f"-- dispatch: {JITTER_BLOCKS} blocks, one rotating "
-          f"{JITTER_STALL * 1e3:.0f} ms straggler/round, "
-          f"{JITTER_ROUNDS} rounds --")
-    for dispatch in ("barrier", "pipelined"):
-        row = jitter[dispatch]
-        res = row["result"]
-        print(
-            f"  {dispatch:9s}: wall {row['wall']:7.3f} s  "
-            f"(gate-wait {res.gate_wait_seconds:6.3f} s)"
-        )
-    pipelined_speedup = jitter["barrier"]["wall"] / jitter["pipelined"]["wall"]
-    print(f"  pipelined speedup: {pipelined_speedup:.2f}x (bit-identical)")
-
     emit("wire", [
         ("solve_floor", wire["busy"], "s"),
         ("overhead_zerocopy", wire["overhead"], "s"),
         ("overhead_per_round", overhead_per_round, "s"),
         ("copies_avoided", stats["copies_avoided"], "B"),
-        ("wall_barrier", jitter["barrier"]["wall"], "s"),
-        ("wall_pipelined", jitter["pipelined"]["wall"], "s"),
-        ("pipelined_speedup", pipelined_speedup, "x"),
-        ("gate_wait", jitter["pipelined"]["result"].gate_wait_seconds, "s"),
     ], seed=3)
-
-    strict = os.environ.get("REPRO_BENCH_STRICT") == "1"
-    if cpus >= 4 or strict:
-        assert pipelined_speedup >= 1.3, (
-            f"expected pipelined dispatch >= 1.3x under the rotating "
-            f"straggler, got {pipelined_speedup:.2f}x"
-        )
-    else:
-        print(
-            f"{cpus}-core host: ratio assertion skipped "
-            "(set REPRO_BENCH_STRICT=1 to force it)"
-        )

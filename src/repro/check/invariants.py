@@ -29,7 +29,6 @@ __all__ = [
     "no_torn_value",
     "single_owner",
     "versions_monotone",
-    "window_within_pool",
 ]
 
 
@@ -109,21 +108,4 @@ def versions_monotone(versions: Sequence[int]) -> str | None:
     for a, b in zip(versions, versions[1:]):
         if b < a:
             return f"version went backwards: {a} -> {b}"
-    return None
-
-
-def window_within_pool(window: int, depth: int) -> str | None:
-    """Pipelined dispatch window fits the receive buffer pool.
-
-    A block can hold ``window + 1`` live round pieces at once (the
-    in-window unfolded rounds plus the still-referenced latest piece),
-    and each must be backed by its own pooled buffer: ``window < depth``
-    or a frame lands in a buffer whose previous occupant is still being
-    combined (reuse-while-in-flight).
-    """
-    if not window < depth:
-        return (
-            f"pipeline window {window} must stay strictly below "
-            f"BufferPool depth {depth} (a block holds window + 1 live pieces)"
-        )
     return None

@@ -12,9 +12,6 @@ Each module ports one runtime protocol to explicit-trap coroutines:
   requeue-vs-reply and double-adoption races;
 * :mod:`repro.check.models.seqlock` -- ``VersionedVector``'s seqlock
   protocol: torn reads, version monotonicity, reader/writer progress;
-* :mod:`repro.check.models.pipeline` -- pipelined dispatch gating vs the
-  receive ``BufferPool``: buffer reuse-while-in-flight, out-of-window
-  dispatch, gating deadlock;
 * :mod:`repro.check.models.elastic` -- the elastic membership protocol:
   grow/shrink migration must land on a quiescent round boundary, since
   it moves ownership *without* bumping the epoch (mid-round adoption
@@ -30,7 +27,6 @@ triples for ``python -m repro.check``.
 from __future__ import annotations
 
 from repro.check.models.elastic import ElasticModel
-from repro.check.models.pipeline import PipelineModel
 from repro.check.models.recovery import ReadoptionModel, RecoveryModel
 from repro.check.models.seqlock import SeqlockModel
 from repro.check.models.wire import PipeReplyModel, SharedQueueModel
@@ -39,7 +35,6 @@ __all__ = [
     "REGISTRY",
     "ElasticModel",
     "PipeReplyModel",
-    "PipelineModel",
     "ReadoptionModel",
     "RecoveryModel",
     "SeqlockModel",
@@ -53,12 +48,12 @@ __all__ = [
 #:
 #: Budgets are tuned from measured schedule-tree sizes: ``wire.pipes``
 #: (157,812 schedules) and ``recovery.late-reply`` (145,503) are small
-#: enough to settle *conclusively* (``exhausted=True``); the seqlock,
-#: readoption and pipeline trees run past 400k schedules, so those get
-#: a bounded DFS plus seeded walks.  Fixture budgets are just enough to
+#: enough to settle *conclusively* (``exhausted=True``); the seqlock
+#: and readoption trees run past 400k schedules, so those get a
+#: bounded DFS plus seeded walks.  Fixture budgets are just enough to
 #: reproduce with margin: the shared-queue deadlock and the torn read
 #: need the walks (bounded DFS explores thread-order-biased corners
-#: first), while window-eq-depth fails on the very first schedule.
+#: first).
 REGISTRY: dict[str, tuple] = {
     # -- current protocols: must be violation-free -------------------
     "wire.pipes": (
@@ -80,11 +75,6 @@ REGISTRY: dict[str, tuple] = {
         lambda: SeqlockModel(),
         False,
         {"max_runs": 20_000, "walks": 300},
-    ),
-    "pipeline": (
-        lambda: PipelineModel(),
-        False,
-        {"max_runs": 8_000, "walks": 300},
     ),
     "elastic.migration": (
         lambda: ElasticModel(),
@@ -121,11 +111,6 @@ REGISTRY: dict[str, tuple] = {
         lambda: SeqlockModel(recheck=False),
         True,
         {"max_runs": 1_000, "walks": 200},
-    ),
-    "pipeline.window-eq-depth": (
-        lambda: PipelineModel(window=4, depth=4),
-        True,
-        {"max_runs": 200, "walks": 100},
     ),
     "elastic.mid-round-migration": (
         lambda: ElasticModel(boundary_guard=False),

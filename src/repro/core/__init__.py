@@ -9,8 +9,8 @@ Layered as:
 * :mod:`repro.core.result` -- the one :class:`SolveResult` record;
 * :mod:`repro.core.session` -- the run session every in-process
   schedule shares (binding, fold, monitor, result assembly);
-* :mod:`repro.core.sequential` -- the in-process schedules: barrier,
-  dependency-gated, bounded-delay chaotic;
+* :mod:`repro.core.sequential` -- the in-process schedules: barrier
+  and bounded-delay chaotic;
 * :mod:`repro.core.sync` / :mod:`repro.core.asynchronous` -- the two
   distributed algorithms on the grid simulator;
 * :mod:`repro.core.solver` -- the :class:`MultisplittingSolver` facade;

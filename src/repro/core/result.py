@@ -103,15 +103,6 @@ class SolveResult:
     trace:
         The :class:`repro.observe.Tracer` holding the run's merged span
         timeline when tracing was on; ``None`` otherwise.
-    dispatch:
-        How the in-process rounds were driven: ``"barrier"`` (every
-        block waits on the global round) or ``"pipelined"``
-        (dependency-gated dispatch -- bit-identical iterates, no global
-        barrier).
-    gate_wait_seconds:
-        Pipelined runs only: cumulative seconds blocks spent idle
-        between finishing one round and having their dependencies ready
-        for the next (0.0 elsewhere).
     """
 
     x: np.ndarray | None
@@ -134,8 +125,6 @@ class SolveResult:
     placement: dict | None = None
     wire: dict = field(default_factory=dict)
     trace: "object | None" = None
-    dispatch: str = "barrier"
-    gate_wait_seconds: float = 0.0
 
     def error_vs(self, x_true: np.ndarray) -> float:
         """Max-norm error against a known solution."""

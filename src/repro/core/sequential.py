@@ -30,8 +30,6 @@ seeded schedule.
 
 from __future__ import annotations
 
-import time
-import warnings
 from dataclasses import replace
 from typing import Callable
 
@@ -66,110 +64,6 @@ def _barrier_rounds(run: RunSession) -> SolveResult:
     return run.result(False)
 
 
-#: How many rounds a block may run ahead of the slowest monitored round
-#: under pipelined dispatch.  Bounded for memory, and must stay strictly
-#: below the runtime's receive-:class:`~repro.runtime.wire.BufferPool`
-#: depth (4): a block can hold ``window + 1`` live round pieces at once,
-#: and each must still be backed by its own pooled buffer.
-_PIPELINE_WINDOW = 3
-
-
-def _pipelined_rounds(run: RunSession) -> SolveResult:
-    """Dependency-gated synchronous rounds (no global barrier).
-
-    Block ``l``'s round-``k+1`` solve dispatches the moment the round-
-    ``k`` pieces of its gate set (its dependencies per the communication
-    pattern, plus itself) have arrived -- a straggling non-dependency
-    cannot stall it.  Iterates are bit-identical to the barrier driver:
-    every gated term of the local-copy combine uses exactly the round-
-    ``k`` piece the barrier would, and a non-gated term's weight is zero
-    at every column the solve reads, so the stale piece standing in for
-    it is multiplied away before it can reach the kernel.
-    """
-    # Lazy: repro.schedule builds on repro.core, so a module-level
-    # import here would be circular (same idiom as the session's).
-    from repro.schedule.pattern import dependency_gates
-
-    # Construction-time guard on the window/pool-depth invariant: the
-    # two constants live in different layers and are only compatible by
-    # agreement, so a future depth change must fail loudly here instead
-    # of silently reintroducing buffer reuse-while-in-flight (the torn
-    # fold repro.check.models.pipeline exhibits at window == depth).
-    from repro.check.invariants import window_within_pool
-    from repro.runtime.wire import DEFAULT_POOL_DEPTH
-
-    window_msg = window_within_pool(_PIPELINE_WINDOW, DEFAULT_POOL_DEPTH)
-    if window_msg is not None:
-        raise RuntimeError(f"pipelined dispatch misconfigured: {window_msg}")
-
-    L = run.nblocks
-    tracer = run.tracer
-    gates = dependency_gates(run.A, run.partition, run.weighting)
-    max_r = run.stopping.max_iterations
-    converged = stop = False
-    gate_wait = 0.0
-    #: rounds[r][l] = block l's round-r piece (pruned once no open gate
-    #: or monitor can still read it).
-    rounds: dict[int, dict[int, np.ndarray]] = {}
-    latest = [run.z0[J] for J in run.partition.sets]
-    submitted = [1] * L
-    t_done = [time.perf_counter()] * L
-    monitor = 1  # next round to fold into the convergence history
-    inflight = L
-    with run.ex.open_stream() as stream:
-        # Round 1 solves on the caller's start vector directly, like the
-        # barrier's initial Z.
-        for l in range(L):
-            stream.submit(l, run.z0)
-        while inflight:
-            l, piece = stream.next_done()
-            inflight -= 1
-            rounds.setdefault(submitted[l], {})[l] = piece
-            latest[l] = piece
-            t_done[l] = time.perf_counter()
-            # Fold completed rounds into the history strictly in order:
-            # the monitor sequence (metric values, callback, stopping
-            # state) is exactly the barrier driver's.
-            while len(rounds.get(monitor, ())) == L:
-                pieces = [rounds[monitor][k] for k in range(L)]
-                converged = run.observe(monitor, pieces, dispatch="pipelined")
-                stop = converged or monitor >= max_r
-                if stop:
-                    break
-                monitor += 1
-            if stop:
-                break
-            # Drop rounds nothing can read any more -- the monitor has
-            # passed them and every block has dispatched beyond them.
-            low = min(min(submitted), monitor)
-            for r in [r for r in rounds if r < low]:
-                del rounds[r]
-            # Open gates: dispatch every block whose next round's
-            # dependencies are all in.
-            for m in range(L):
-                r_next = submitted[m] + 1
-                if r_next > max_r or r_next > monitor + _PIPELINE_WINDOW:
-                    continue
-                prev = rounds.get(r_next - 1, {})
-                if any(k not in prev for k in gates[m]):
-                    continue
-                # A non-gate term's weight vanishes at every column
-                # block m's solve reads, so any round's piece works (the
-                # value is multiplied away).
-                z = run.fold(m, lambda k: prev[k] if k in prev else latest[k])
-                wait = time.perf_counter() - t_done[m]
-                gate_wait += wait
-                if tracer is not None:
-                    tracer.add(
-                        "gate.wait", "wait", t_done[m], wait,
-                        lane="driver", block=m, round=r_next,
-                    )
-                stream.submit(m, z)
-                submitted[m] = r_next
-                inflight += 1
-    return run.result(converged, dispatch="pipelined", gate_wait_seconds=gate_wait)
-
-
 def multisplitting_iterate(
     A,
     b: np.ndarray,
@@ -185,7 +79,6 @@ def multisplitting_iterate(
     placement=None,
     fault_policy=None,
     trace=None,
-    dispatch: str = "barrier",
     elastic=None,
 ) -> SolveResult:
     """Run the synchronous multisplitting-direct iteration in-process.
@@ -229,16 +122,6 @@ def multisplitting_iterate(
         (worker-side spans included on the distributed backends), and
         the tracer is returned on ``result.trace`` for export.  Tracing
         is observational only: iterates are bit-identical either way.
-    dispatch:
-        ``"barrier"`` (default): every round waits for all blocks, the
-        paper's synchronous mode verbatim.  ``"pipelined"``: block
-        ``l``'s next solve dispatches as soon as its *own* dependencies
-        (per :func:`repro.core.distributed.communication_pattern`, plus
-        itself) have delivered their current-round pieces -- a
-        straggler only stalls the blocks that actually read it.
-        Iterates, history, and callbacks are bit-identical to the
-        barrier; only the wall-clock schedule changes.  Time blocks
-        spent gated lands on ``result.gate_wait_seconds``.
     elastic:
         ``True``, an :class:`repro.schedule.ElasticPolicy`, or a
         pre-built :class:`repro.schedule.ElasticController`: arm the
@@ -248,32 +131,17 @@ def multisplitting_iterate(
         measured calibration drift by re-balancing the block-to-worker
         assignment and migrating only the moved blocks.  Partition
         sizes never change, so iterates stay bit-identical to the
-        undisturbed run.  Requires barrier dispatch (pipelined rounds
-        are never quiescent): under ``dispatch="pipelined"`` the flag
-        warns and is ignored.  Migration counters land on
+        undisturbed run.  Migration counters land on
         ``fault_stats`` (``grow_events`` / ``shrink_events`` /
         ``blocks_migrated`` / ``migration_seconds``).
     """
-    if dispatch not in ("barrier", "pipelined"):
-        raise ValueError(
-            f"dispatch must be 'barrier' or 'pipelined', got {dispatch!r}"
-        )
-    if elastic and dispatch == "pipelined":
-        warnings.warn(
-            "elastic re-planning needs the quiescent round barrier; "
-            "ignored under dispatch='pipelined'",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        elastic = None
-    schedule = _pipelined_rounds if dispatch == "pipelined" else _barrier_rounds
     with RunSession(
         A, b, partition, weighting, solver,
         stopping=stopping or StoppingCriterion(), x0=x0, callback=callback,
         cache=cache, executor=executor, placement=placement,
         fault_policy=fault_policy, trace=trace, elastic=elastic,
     ) as run:
-        return schedule(run)
+        return _barrier_rounds(run)
 
 
 def chaotic_iterate(

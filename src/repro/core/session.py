@@ -2,8 +2,8 @@
 
 The paper's Algorithm 1 is one iteration body -- solve ``A[J_l, J_l]``
 against the local copy, exchange ``XSub``, recombine with the weighting
-family -- run under different *schedules* (barrier, dependency-gated,
-bounded-delay chaotic, free-running threads).  A :class:`RunSession` is
+family -- run under different *schedules* (barrier, bounded-delay
+chaotic, free-running threads).  A :class:`RunSession` is
 the part that does not depend on the schedule:
 
 * the binding -- resolve the executor and the tracer, validate ``x0``
@@ -176,8 +176,8 @@ class RunSession:
         that choice is the schedule.  It is called once per term, in the
         weighting family's term order.  Each term is added in place
         through ``J_k``'s span (a view of ``z`` for a contiguous set);
-        ``z`` itself is a fresh array, which pipelined and chaotic
-        schedules keep in flight.
+        ``z`` itself is a fresh array, which the chaotic schedule keeps
+        in flight.
         """
         z = np.zeros(self.b.shape)
         sets = self._sets
@@ -223,14 +223,12 @@ class RunSession:
         )
         return pieces
 
-    def observe(self, it: int, pieces, **mark) -> bool:
+    def observe(self, it: int, pieces) -> bool:
         """Round ``it`` was folded: monitor it and run the stop test.
 
         Assembles the core iterate, appends the monitor value (per
         ``stopping.metric``) to ``history``, calls the callback, and
-        returns the stopping rule's flag.  A schedule with no closed
-        batch to span passes ``mark`` arguments; the fold is then marked
-        by a ``round`` event on the driver lane.
+        returns the stopping rule's flag.
         """
         x = self.assemble(pieces)
         if self.stopping.metric == "residual":
@@ -243,8 +241,6 @@ class RunSession:
         self.x, self.iterations = x, it
         if self.callback is not None:
             self.callback(it, x)
-        if mark and self.tracer is not None:
-            self.tracer.event("round", cat="round", lane="driver", round=it, **mark)
         return self.state.observe(value)
 
     def residual_threshold(self) -> float:

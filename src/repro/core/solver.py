@@ -13,11 +13,9 @@ solvers:
     result = solver.solve(A, b, cluster=cluster3(10))
     print(result.simulated_time, result.iterations, result.residual)
 
-Four execution modes:
+Three execution modes:
 
 * ``"sequential"``   -- the in-process reference iteration (no simulator);
-* ``"pipelined"``    -- the same iteration with dependency-gated round
-  dispatch (bit-identical iterates, no global round barrier);
 * ``"synchronous"``  -- Algorithm 1 over MPI-style blocking exchanges;
 * ``"asynchronous"`` -- the free-running variant with async detection.
 """
@@ -49,7 +47,7 @@ from repro.observe import resolve_trace
 
 __all__ = ["MultisplittingSolver", "SolveResult"]
 
-_MODES = ("sequential", "pipelined", "synchronous", "asynchronous")
+_MODES = ("sequential", "synchronous", "asynchronous")
 _PLACEMENTS = ("uniform", "proportional", "calibrated")
 _PARTITIONS = ("bands", "interleaved", "permuted", "schwarz")
 
@@ -63,14 +61,7 @@ class MultisplittingSolver:
         Number of band systems ``L``.  Defaults to the cluster size (or 4
         in sequential mode).
     mode:
-        ``"sequential"``, ``"pipelined"``, ``"synchronous"`` or
-        ``"asynchronous"``.  ``"pipelined"`` runs the sequential
-        iteration with dependency-gated round dispatch on the runtime
-        backend: block ``l``'s round ``k+1`` solve is submitted as soon
-        as the round-``k`` pieces it actually reads (per
-        :func:`repro.schedule.pattern.dependency_gates`) have arrived,
-        instead of waiting for the global round barrier.  Iterates are
-        bit-identical to ``"sequential"``.
+        ``"sequential"``, ``"synchronous"`` or ``"asynchronous"``.
     direct_solver:
         Registry name (``"dense"``, ``"banded"``, ``"sparse"``, ``"scipy"``)
         or a :class:`~repro.direct.base.DirectSolver` instance.  This is
@@ -188,13 +179,12 @@ class MultisplittingSolver:
         its span timeline (a per-call ``trace=`` still overrides).
     elastic:
         ``True`` or an :class:`repro.schedule.ElasticPolicy`: arm
-        elastic re-planning in the sequential/pipelined modes
-        (forwarded to :func:`repro.core.sequential.multisplitting_iterate`
-        -- the fleet may :meth:`~repro.runtime.Executor.grow` and
+        elastic re-planning in sequential mode (forwarded to
+        :func:`repro.core.sequential.multisplitting_iterate` -- the
+        fleet may :meth:`~repro.runtime.Executor.grow` and
         :meth:`~repro.runtime.Executor.shrink` mid-solve, with moved
-        blocks migrated at quiescent round boundaries; pipelined
-        dispatch warns and ignores it).  The simulated distributed
-        modes have no live fleet and ignore the flag.
+        blocks migrated at quiescent round boundaries).  The simulated
+        distributed modes have no live fleet and ignore the flag.
     """
 
     def __init__(
@@ -495,7 +485,7 @@ class MultisplittingSolver:
             )
         if trace is None:
             trace = self.trace
-        if self.mode in ("sequential", "pipelined"):
+        if self.mode == "sequential":
             layout = self._layout(A, partition=partition)
             return self._iterate(A, b, layout, x0=x0, trace=trace)
 
@@ -556,7 +546,6 @@ class MultisplittingSolver:
             A, b, part, scheme, self.direct_solver, stopping=self.stopping,
             x0=x0, cache=self.cache, executor=self._get_executor(),
             placement=plan, fault_policy=self.fault_policy, trace=trace,
-            dispatch="pipelined" if self.mode == "pipelined" else "barrier",
             elastic=self.elastic,
         )
         result.mode = self.mode

@@ -95,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         "--elastic",
         action="store_true",
         help="enable elastic re-planning on the solvers (live on the "
-        "runtime-driven sequential/pipelined modes: membership changes "
+        "runtime-driven sequential mode: membership changes "
         "and calibration drift re-balance blocks mid-solve)",
     )
     parser.add_argument(

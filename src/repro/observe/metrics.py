@@ -241,7 +241,6 @@ class MetricsRegistry:
             self.counter(
                 f"{prefix}_block_seconds_total", labels={"block": str(l)}
             ).inc(seconds)
-        self.counter(f"{prefix}_gate_wait_seconds_total").inc(result.gate_wait_seconds)
         self.ingest_cache(result.cache_stats)
         self._ingest_fields("repro_fault", result.fault_stats)
         self._ingest_fields("repro_wire", result.wire)

@@ -32,7 +32,7 @@ asynchronous driver: free-running block threads over
 
 from __future__ import annotations
 
-from repro.runtime.api import Executor, SolveStream
+from repro.runtime.api import Executor
 from repro.runtime.asynchronous import async_iterate
 from repro.runtime.inline import InlineExecutor
 from repro.runtime.processes import ProcessExecutor
@@ -66,7 +66,6 @@ __all__ = [
     "ProcessExecutor",
     "SharedVectorPlane",
     "SocketExecutor",
-    "SolveStream",
     "StallOnceSolver",
     "StragglerSolver",
     "ThreadExecutor",

@@ -32,7 +32,6 @@ from __future__ import annotations
 import abc
 import time
 import warnings
-from collections import deque
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
@@ -41,57 +40,7 @@ import numpy as np
 from repro.core.local import LocalSystem, build_local_systems
 from repro.direct.cache import CacheStats, FactorizationCache
 
-__all__ = ["Executor", "InProcessExecutor", "SolveStream", "owned_rows_spec"]
-
-
-class SolveStream:
-    """Out-of-order completion stream over an attached executor.
-
-    The dependency-gated driver (``dispatch="pipelined"``) needs a
-    different shape than :meth:`Executor.solve_blocks`: dispatch block
-    solves *one at a time* as their dependencies arrive, and consume
-    completions in whatever order the workers produce them.  Contract:
-
-    * :meth:`submit` dispatches one ``(block, z)`` solve; at most one
-      solve per block may be in flight at a time;
-    * :meth:`next_done` blocks until *some* submitted solve finishes and
-      returns ``(block, piece)`` -- completions may interleave freely
-      across blocks;
-    * a returned piece stays valid until a few further solves of the
-      same block are submitted (backends with pooled receive buffers
-      rotate them); callers that retain pieces longer must copy;
-    * :meth:`close` drains anything still in flight and releases the
-      stream; the executor remains attached and usable afterwards.
-
-    This base implementation is the trivially correct eager one --
-    ``submit`` runs the solve to completion through ``solve_blocks`` --
-    which is exactly right for serial backends (inline, chaos wrappers):
-    gating without overlap, still bit-identical.  Parallel backends
-    override :meth:`Executor.open_stream` with genuinely asynchronous
-    streams.
-    """
-
-    def __init__(self, executor: "Executor"):
-        self._ex = executor
-        self._ready: deque[tuple[int, np.ndarray]] = deque()
-
-    def submit(self, l: int, z: np.ndarray) -> None:
-        piece = self._ex.solve_blocks([(int(l), z)])[0]
-        self._ready.append((int(l), piece))
-
-    def next_done(self) -> tuple[int, np.ndarray]:
-        if not self._ready:
-            raise RuntimeError("no solve in flight")
-        return self._ready.popleft()
-
-    def close(self) -> None:
-        self._ready.clear()
-
-    def __enter__(self) -> "SolveStream":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+__all__ = ["Executor", "InProcessExecutor", "owned_rows_spec"]
 
 
 def owned_rows_spec(bands, halos, b, sets, solvers, owned, use_cache: bool) -> dict:
@@ -238,16 +187,6 @@ class Executor(abc.ABC):
         one another (see :meth:`solve_blocks`).
         """
         return self.solve_blocks(list(enumerate(Z)))
-
-    def open_stream(self) -> SolveStream:
-        """A :class:`SolveStream` for dependency-gated dispatch.
-
-        The base stream is eager (each ``submit`` completes through
-        :meth:`solve_blocks` immediately); backends with real
-        concurrency override this to overlap in-flight solves.
-        Requires an attached binding.
-        """
-        return SolveStream(self)
 
     @abc.abstractmethod
     def map(self, fn: Callable, items: Iterable) -> list:

@@ -38,8 +38,8 @@ not depend on what carries the bytes, so it lives here exactly once:
   (grow / shrink / migrate), the re-homing decision after a loss, and
   the cache / fault / wire accounting.  A transport subclass supplies
   only how a worker is born, killed and reached (the primitives listed
-  on the class) plus the hot ``solve_blocks`` / ``open_stream`` data
-  plane, whose concurrency shape genuinely differs per transport.
+  on the class) plus the hot ``solve_blocks`` data plane, whose
+  concurrency shape genuinely differs per transport.
 
 Ranks only ever append: a lost or retired worker's rank is never
 reused, so per-rank accounting cannot alias, and a later binding takes
@@ -324,8 +324,8 @@ class FleetExecutor(Executor):
     * optionally ``_meta()`` (transport knobs for a binding frame) and
       ``_open_binding`` / ``_close_binding`` (per-binding transport
       resources);
-    * the data plane: ``solve_blocks``, ``open_stream``, ``close``,
-      plus the ``kill_worker`` chaos hook.
+    * the data plane: ``solve_blocks``, ``close``, plus the
+      ``kill_worker`` chaos hook.
     """
 
     def __init__(self, start_method: str | None):

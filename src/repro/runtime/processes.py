@@ -56,13 +56,11 @@ import multiprocessing.connection as mp_connection
 import os
 import threading
 import time
-from collections import deque
 from typing import Sequence
 
 import numpy as np
 
 from repro.direct.cache import FactorizationCache
-from repro.runtime.api import SolveStream
 from repro.runtime.fleet import (
     _REPLY_TIMEOUT,
     FleetExecutor,
@@ -478,10 +476,6 @@ class ProcessExecutor(FleetExecutor):
             )
         return pieces
 
-    def open_stream(self) -> "_ProcessStream":
-        self._require_attached()
-        return _ProcessStream(self)
-
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
         """Tear down the worker pool: idempotent, and safe after a crash.
@@ -513,64 +507,3 @@ class ProcessExecutor(FleetExecutor):
         self._early = []
         self._forget_fleet()
 
-
-class _ProcessStream(SolveStream):
-    """Out-of-order solve stream over the shm planes.
-
-    ``submit`` writes the block's z slot and posts its single-block
-    ticket immediately; ``next_done`` drains the reply pipes and hands
-    back pieces in finish order (copied off the plane -- the slot is
-    live shared state).  No mid-stream recovery: a worker death fails the
-    stream (the barrier path owns the FaultPolicy machinery).
-    """
-
-    def __init__(self, ex: "ProcessExecutor"):
-        self._ex = ex
-        self._ready: deque[tuple[int, np.ndarray]] = deque()
-        self._inflight = 0
-
-    def submit(self, l: int, z: np.ndarray) -> None:
-        ex = self._ex
-        l = int(l)
-        ex._write_z([(l, z)])
-        ex._dispatch([l])
-        self._inflight += 1
-
-    def next_done(self) -> tuple[int, np.ndarray]:
-        ex = self._ex
-        if not self._ready:
-            if self._inflight <= 0:
-                raise RuntimeError("no solve in flight")
-            deadline = time.monotonic() + ex._reply_wait_seconds()
-            while not self._ready:
-                for _, (_, _, batch, seconds) in ex._replies("done", ex._live, 1.0):
-                    ex._solve_frames_received += 1
-                    for l, dt in zip(batch, seconds):
-                        ex._block_seconds[l] += dt
-                        piece = ex._piece_plane.read(l)
-                        ex._vector_bytes_received += piece.nbytes
-                        self._ready.append((l, piece))
-                if self._ready:
-                    break
-                dead = [w for w in ex._live if not ex._is_alive(w)]
-                if dead:
-                    raise RuntimeError(
-                        f"runtime workers died mid-stream: {dead} "
-                        "(pipelined dispatch does not recover)"
-                    )
-                if time.monotonic() > deadline:
-                    raise RuntimeError(
-                        "process stream timed out waiting for a piece"
-                    )
-        self._inflight -= 1
-        return self._ready.popleft()
-
-    def close(self) -> None:
-        # Drain outstanding replies so stale tickets cannot bleed into a
-        # later barrier round's accounting.
-        try:
-            while self._inflight > 0:
-                self.next_done()
-        except RuntimeError:
-            self._inflight = 0
-        self._ready.clear()

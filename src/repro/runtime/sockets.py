@@ -55,7 +55,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.direct.cache import FactorizationCache
-from repro.runtime.api import SolveStream
 from repro.runtime.fleet import (
     _REPLY_TIMEOUT,
     FleetExecutor,
@@ -555,10 +554,6 @@ class SocketExecutor(FleetExecutor):
             tracer.event("wire.recv", cat="wire", lane="driver", bytes=received)
         return [pieces[l] for l in blocks]
 
-    def open_stream(self) -> "_SocketStream":
-        self._require_attached()
-        return _SocketStream(self)
-
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
         """Tear everything down: idempotent, and safe after a worker crash.
@@ -586,93 +581,6 @@ class SocketExecutor(FleetExecutor):
             self._io_pool = None
         self._join_all()
         self._forget_fleet()
-
-
-class _SocketStream(SolveStream):
-    """Out-of-order solve stream over the socket fleet.
-
-    The driver thread sends a single-block solve frame the moment a
-    block's gates open; one receive loop per active worker (on the
-    executor's io pool) collects that worker's replies in stream FIFO
-    order and feeds a shared completion queue.  Each loop only touches its socket when
-    a reply is actually due (a ``want`` queue of dispatched blocks), so
-    the per-request deadline keeps its meaning.  No mid-stream
-    recovery: a worker death fails the stream -- the barrier path owns
-    the FaultPolicy machinery.
-    """
-
-    def __init__(self, ex: "SocketExecutor"):
-        self._ex = ex
-        self._done_q: queue.Queue = queue.Queue()
-        self._want: dict[int, queue.Queue] = {}
-        self._futures = []
-        self._inflight = 0
-        timeout = ex._solve_timeout()
-        for w in sorted(set(ex._owner.values())):
-            ex._socks[w].settimeout(timeout)
-            q: queue.Queue = queue.Queue()
-            self._want[w] = q
-            self._futures.append(ex._io_pool.submit(self._recv_loop, w, q))
-
-    def _recv_loop(self, w: int, want: queue.Queue) -> None:
-        ex = self._ex
-        while True:
-            l = want.get()
-            if l is None:
-                return
-            try:
-                _, _, (rl,), (dt,), (piece,) = ex._recv_reply(w, "done", key=(l,))
-            except Exception as exc:
-                self._done_q.put(("error", exc))
-                return
-            # Per-block keys: each block belongs to exactly one worker,
-            # so only this loop writes this entry.
-            ex._block_seconds[rl] += dt
-            self._done_q.put(("done", (rl, piece)))
-
-    def submit(self, l: int, z) -> None:
-        l = int(l)
-        w = self._ex._owner[l]
-        try:
-            self._ex._send_solve(w, [(l, z)])
-        except OSError as exc:
-            raise RuntimeError(
-                f"socket worker {w} died mid-stream: {exc}"
-            ) from exc
-        self._want[w].put(l)
-        self._inflight += 1
-
-    def next_done(self) -> tuple[int, np.ndarray]:
-        if self._inflight <= 0:
-            raise RuntimeError("no solve in flight")
-        try:
-            kind, payload = self._done_q.get(
-                timeout=self._ex._solve_timeout() + 30.0
-            )
-        except queue.Empty:
-            raise RuntimeError(
-                "socket stream timed out waiting for a piece"
-            ) from None
-        if kind == "error":
-            raise payload
-        self._inflight -= 1
-        return payload
-
-    def close(self) -> None:
-        # Drain outstanding replies first so the streams stay
-        # frame-aligned for any later barrier round, then stop the
-        # receive loops with their sentinels.
-        try:
-            while self._inflight > 0:
-                self.next_done()
-        except Exception:
-            self._inflight = 0
-        for q in self._want.values():
-            q.put(None)
-        for fut in self._futures:
-            fut.exception()
-        self._want = {}
-        self._futures = []
 
 
 def main(argv: list[str] | None = None) -> int:

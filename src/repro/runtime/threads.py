@@ -42,69 +42,14 @@ serialises requests for the same block).
 
 from __future__ import annotations
 
-import queue
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.runtime.api import InProcessExecutor, SolveStream
+from repro.runtime.api import InProcessExecutor
 
 __all__ = ["ThreadExecutor"]
-
-
-class _ThreadStream(SolveStream):
-    """Out-of-order solve stream on the thread pool.
-
-    Each ``submit`` goes straight to the pool (or the block's sticky
-    placement slot); a done-callback feeds a completion queue, so
-    ``next_done`` returns pieces in *finish* order -- the overlap the
-    dependency-gated driver exploits.
-    """
-
-    def __init__(self, ex: "ThreadExecutor"):
-        self._ex = ex
-        self._done_q: queue.Queue = queue.Queue()
-        self._pending: set = set()
-        self._inflight = 0
-
-    def submit(self, l: int, z: np.ndarray) -> None:
-        ex = self._ex
-        l = int(l)
-        if ex._placement is not None:
-            slots = ex._ensure_slot_pools(ex._placement.nworkers)
-            pool = slots[ex._placement.assignment[l]]
-        else:
-            pool = ex._ensure_pool()
-        fut = pool.submit(ex._traced_solve, l, z)
-        self._pending.add(fut)
-        fut.add_done_callback(lambda f, l=l: self._done_q.put((l, f)))
-        self._inflight += 1
-
-    def next_done(self) -> tuple[int, np.ndarray]:
-        if self._inflight <= 0:
-            raise RuntimeError("no solve in flight")
-        l, fut = self._done_q.get()
-        self._pending.discard(fut)
-        self._inflight -= 1
-        piece, dt = fut.result()
-        # Driver thread only: the accounting table is never touched
-        # from pool threads.
-        self._ex._account(l, dt)
-        return l, piece
-
-    def close(self) -> None:
-        # Let everything in flight land before the stream goes away --
-        # a detach racing a live solve would pull systems out from
-        # under it.
-        wait(list(self._pending))
-        self._pending.clear()
-        self._inflight = 0
-        while True:
-            try:
-                self._done_q.get_nowait()
-            except queue.Empty:
-                break
 
 
 class ThreadExecutor(InProcessExecutor):
@@ -182,11 +127,6 @@ class ThreadExecutor(InProcessExecutor):
         if len(items) <= 1:
             return [fn(item) for item in items]
         return list(self._ensure_pool().map(fn, items))
-
-    def open_stream(self) -> _ThreadStream:
-        if self._systems is None:
-            raise RuntimeError("ThreadExecutor is not attached")
-        return _ThreadStream(self)
 
     def close(self) -> None:
         super().close()

@@ -54,10 +54,9 @@ __all__ = [
 ]
 
 #: Receive-pool rotation depth: how many takes of one key before a
-#: buffer is reused.  The pipelined dispatch window is gated against
-#: this (``window < depth``, asserted by the pipelined driver and
-#: model-checked in ``repro.check.models.pipeline``): a block holds up
-#: to ``window + 1`` live round pieces, each needing its own buffer.
+#: buffer is reused.  The barrier rounds fold and assemble a round's
+#: pieces before the next round of the same batch is received, so any
+#: depth >= 2 reuses a buffer only after its piece was last read.
 DEFAULT_POOL_DEPTH = 4
 
 #: ``head_len:u64 | nbuf:u32 | flags:u8`` -- the fixed frame prefix.
@@ -101,9 +100,9 @@ class BufferPool:
     key is therefore guaranteed untouched until ``depth`` further takes
     of the *same* key -- with per-worker pools keyed by the reply's
     batch of blocks and the drivers' one-solve-per-block-per-round
-    discipline that means a round's pieces stay valid for ``depth``
-    more rounds of their batch (a pipelined stream's batches are single
-    blocks).  Callers that retain pieces longer must copy them.
+    discipline that means a round's pieces stay valid until ``depth``
+    further rounds of their batch are received.  Callers that retain
+    pieces longer must copy them.
     """
 
     def __init__(self, depth: int = DEFAULT_POOL_DEPTH):

@@ -50,31 +50,10 @@ from repro.schedule.plan import (
 )
 
 __all__ = [
-    "dependency_gates",
     "message_bytes_matrix",
     "pattern_comm_costs",
     "partition_placement",
 ]
-
-
-def dependency_gates(A, partition, weighting) -> list[list[int]]:
-    """Per-block dispatch gates for the pipelined synchronous driver.
-
-    ``gates[l]`` lists the blocks whose round-``k`` pieces block ``l``'s
-    round-``k+1`` solve actually reads: its dependencies per
-    :func:`~repro.core.distributed.communication_pattern` (derived from
-    the *stored* matrix pattern, so a piece the weighted combine touches
-    only with zero weight still gates -- the conservative choice that
-    keeps iterates bit-identical to the barrier) plus ``l`` itself (the
-    combine always uses the block's own piece).  Once every gate's piece
-    has arrived, dispatching ``l`` early is safe: the values of the
-    non-gated blocks never reach ``l``'s solve, so the global barrier
-    adds only waiting.
-    """
-    pattern = communication_pattern(partition, weighting, A=A)
-    return [
-        sorted(set(pattern.deps[l]) | {l}) for l in range(partition.nprocs)
-    ]
 
 
 def message_bytes_matrix(A, partition, weighting, *, k: int = 1) -> np.ndarray:

@@ -78,15 +78,6 @@ COUNTEREXAMPLES = [
         "invariant",
         "no-torn-read",
     ),
-    # window == depth needs no race at all: the all-zeros (fully
-    # sequential) schedule already recycles a pooled buffer under a
-    # fold still reading it.  The empty trace IS the counterexample.
-    (
-        "pipeline.window-eq-depth",
-        [],
-        "invariant",
-        "reads-see-intact-buffers",
-    ),
 ]
 
 
@@ -119,7 +110,6 @@ def test_traces_do_not_trip_current_protocols():
         "recovery.unfiltered-reply": "recovery.late-reply",
         "recovery.stale-assignment": "recovery.readoption",
         "seqlock.no-recheck": "seqlock",
-        "pipeline.window-eq-depth": "pipeline",
     }
     for name, trace, _, _ in COUNTEREXAMPLES:
         factory, _, _ = REGISTRY[current[name]]

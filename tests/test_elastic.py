@@ -97,15 +97,19 @@ class TestNoOpContract:
         finally:
             ex.close()
 
-    def test_pipelined_dispatch_ignores_elastic(self):
+    def test_elastic_without_a_fleet_is_the_plain_barrier(self):
         A, b, part, scheme = _general_problem("band", n=48, L=2)
-        with pytest.warns(RuntimeWarning, match="pipelined"):
-            res = multisplitting_iterate(
-                A, b, part, scheme, get_solver("scipy"),
-                stopping=StoppingCriterion(tolerance=1e-8),
-                dispatch="pipelined", elastic=True,
-            )
+        stopping = StoppingCriterion(tolerance=1e-8)
+        ref = multisplitting_iterate(
+            A, b, part, scheme, get_solver("scipy"), stopping=stopping
+        )
+        res = multisplitting_iterate(
+            A, b, part, scheme, get_solver("scipy"),
+            stopping=stopping, elastic=True,
+        )
         assert res.converged
+        assert res.history == ref.history
+        np.testing.assert_array_equal(res.x, ref.x)
 
 
 class _ChurnController(ElasticController):

@@ -290,6 +290,28 @@ class TestPartitionGeneralityConformance:
         assert stats.misses == part.nprocs
         assert stats.hits == res.iterations * part.nprocs
 
+    @pytest.mark.parametrize("kind", PARTITION_KINDS)
+    def test_single_block_requests_match_the_round(self, backend, kind):
+        """Any subset of blocks, in any order, solves to the round's own
+        pieces: ``solve_blocks`` answers in request order on every
+        decomposition shape (the chaotic driver's request shape)."""
+        A, b, part, _ = _general_problem(kind)
+        rng = np.random.default_rng(3)
+        Z = [rng.standard_normal(b.shape[0]) for _ in range(part.nprocs)]
+        with _make_executor(backend) as ex:
+            ex.attach(A, b, part.sets, get_solver("scipy"))
+            full = ex.solve_round(Z)
+            order = list(reversed(range(part.nprocs)))
+            backwards = ex.solve_blocks([(l, Z[l]) for l in order])
+            singles = [ex.solve_blocks([(l, Z[l])])[0] for l in order]
+            pair = ex.solve_blocks([(2, Z[2]), (0, Z[0])])
+        for got, l in zip(backwards, order):
+            np.testing.assert_array_equal(got, full[l])
+        for got, l in zip(singles, order):
+            np.testing.assert_array_equal(got, full[l])
+        np.testing.assert_array_equal(pair[0], full[2])
+        np.testing.assert_array_equal(pair[1], full[0])
+
     @pytest.mark.parametrize("kind", ("interleaved", "permuted"))
     def test_chaotic_keeps_schedule_on_general_partitions(self, backend, kind):
         """The seeded chaotic driver replays identically on every backend
@@ -309,77 +331,11 @@ class TestPartitionGeneralityConformance:
         np.testing.assert_array_equal(res.x, ref.x)
 
 
-class TestPipelinedDispatchConformance:
-    """Satellite: dependency-gated dispatch × partitions × backends.
-
-    ``dispatch="pipelined"`` submits block ``l``'s next solve as soon
-    as the round pieces it actually reads (per
-    :func:`repro.schedule.pattern.dependency_gates`) have landed,
-    instead of waiting for the global round barrier.  Because a
-    non-gated block's piece is multiplied by a zero weight at every
-    column the solve reads, the iterates must stay **bit-identical** to
-    the barrier driver -- on every decomposition shape, on every
-    backend.
-    """
-
-    @pytest.mark.parametrize("kind", PARTITION_KINDS)
-    def test_bit_identical_vs_barrier(self, backend, kind):
-        A, b, part, scheme = _general_problem(kind)
-        stopping = StoppingCriterion(tolerance=1e-300, max_iterations=6)
-        ref = multisplitting_iterate(
-            A, b, part, scheme, get_solver("scipy"), stopping=stopping
-        )
-        with _make_executor(backend) as ex:
-            res = multisplitting_iterate(
-                A, b, part, scheme, get_solver("scipy"),
-                stopping=stopping, executor=ex, dispatch="pipelined",
-            )
-        assert res.dispatch == "pipelined"
-        assert res.gate_wait_seconds >= 0.0
-        assert res.history == ref.history
-        np.testing.assert_array_equal(res.x, ref.x)
-
-    def test_gates_cover_dependencies(self):
-        """Every gate set contains the block itself and its pattern deps."""
-        from repro.core.distributed import communication_pattern
-        from repro.schedule.pattern import dependency_gates
-
-        A, b, part, scheme = _problem()
-        gates = dependency_gates(A, part, scheme)
-        pattern = communication_pattern(part, scheme, A=A)
-        assert len(gates) == part.nprocs
-        for l, gate in enumerate(gates):
-            assert l in gate
-            assert set(pattern.deps[l]) <= set(gate)
-
-    def test_solver_mode_pipelined(self, backend):
-        """The solver facade exposes dispatch as ``mode="pipelined"``."""
-        from repro.core.solver import MultisplittingSolver
-        from repro.matrices import diagonally_dominant, rhs_for_solution
-
-        A = diagonally_dominant(96, dominance=1.5, bandwidth=4, seed=5)
-        b, _ = rhs_for_solution(A, seed=6)
-        ref = MultisplittingSolver(4, mode="sequential").solve(A, b)
-        with _make_executor(backend) as ex:
-            res = MultisplittingSolver(4, mode="pipelined", backend=ex).solve(A, b)
-        assert res.mode == "pipelined"
-        assert res.converged and ref.converged
-        assert res.iterations == ref.iterations
-        np.testing.assert_array_equal(res.x, ref.x)
-
-    def test_bad_dispatch_rejected(self):
-        A, b, part, scheme = _problem()
-        with pytest.raises(ValueError, match="dispatch"):
-            multisplitting_iterate(
-                A, b, part, scheme, get_solver("scipy"), dispatch="eager"
-            )
-
-
 class TestSchedulesAreOneIteration:
-    """Barrier, pipelined and chaotic are one iteration body under three
-    schedules (``repro.core.session``): with its delays and skips turned
-    off the chaotic schedule *is* the barrier one, and the facade hands
-    back the driver's own record."""
+    """Barrier and chaotic are one iteration body under two schedules
+    (``repro.core.session``): with its delays and skips turned off the
+    chaotic schedule *is* the barrier one, and the facade hands back the
+    driver's own record."""
 
     @pytest.mark.parametrize("weighting", ["ownership", "averaging", "schwarz"])
     def test_chaotic_without_chaos_is_the_barrier(self, weighting):
@@ -399,21 +355,48 @@ class TestSchedulesAreOneIteration:
         assert len(res.history) == 8
         np.testing.assert_array_equal(res.x, ref.x)
 
-    @pytest.mark.parametrize("mode", ["sequential", "pipelined"])
-    def test_facade_returns_the_drivers_history(self, mode):
+    def test_facade_returns_the_drivers_history(self):
         from repro.core.solver import MultisplittingSolver
 
         A, b, part, scheme = _problem()
-        facade = MultisplittingSolver(4, mode=mode)
+        facade = MultisplittingSolver(4, mode="sequential")
         res = facade.solve(A, b, partition=part)
         ref = multisplitting_iterate(
-            A, b, part, scheme, get_solver("scipy"), stopping=facade.stopping,
-            dispatch="pipelined" if mode == "pipelined" else "barrier",
+            A, b, part, scheme, get_solver("scipy"), stopping=facade.stopping
         )
-        assert res.mode == mode
+        assert res.mode == "sequential"
         assert res.history and res.history == ref.history
-        assert res.dispatch == ref.dispatch
         np.testing.assert_array_equal(res.x, ref.x)
+
+    def test_facade_is_bit_identical_on_every_backend(self, backend):
+        """The facade's fleet path is the barrier driver on any backend."""
+        from repro.core.solver import MultisplittingSolver
+
+        A, b, _, _ = _problem()
+        ref = MultisplittingSolver(4, mode="sequential").solve(A, b)
+        with _make_executor(backend) as ex:
+            res = MultisplittingSolver(4, mode="sequential", backend=ex).solve(A, b)
+        assert res.backend == backend
+        assert res.converged and ref.converged
+        assert res.history == ref.history
+        np.testing.assert_array_equal(res.x, ref.x)
+
+    def test_dispatch_keyword_is_gone(self):
+        """No schedule selector survives: the keyword is simply unknown."""
+        A, b, part, scheme = _problem()
+        with pytest.raises(TypeError, match="dispatch"):
+            multisplitting_iterate(
+                A, b, part, scheme, get_solver("scipy"), dispatch="barrier"
+            )
+
+    def test_pipelined_mode_rejected(self):
+        """The synchronous iteration has one schedule: the barrier."""
+        from repro.core.solver import MultisplittingSolver
+
+        with pytest.raises(ValueError) as info:
+            MultisplittingSolver(4, mode="pipelined")
+        for mode in ("sequential", "synchronous", "asynchronous"):
+            assert mode in str(info.value)
 
 
 class TestRoundIsOneFrameAndOneFold:
@@ -505,16 +488,37 @@ class TestRoundIsOneFrameAndOneFold:
         try:
             ex.attach(A, b, part.sets, get_solver("scipy"))
             got = ex.solve_round([z] * part.nprocs)
-            with ex.open_stream() as stream:
-                for l in range(part.nprocs):
-                    stream.submit(l, z)
-                streamed = dict(stream.next_done() for _ in range(part.nprocs))
         finally:
             ex.close()
         assert z.tobytes() == before
         for l, want in enumerate(ref):
             np.testing.assert_array_equal(got[l], want)
-            np.testing.assert_array_equal(streamed[l], want)
+
+    @pytest.mark.parametrize("chaos", [False, True])
+    def test_single_block_solves_only_read_the_copy(self, backend, chaos):
+        """One request per block, last block first, on one shared
+        read-only copy: the same pieces as the round, and no write."""
+        A, b, part, _ = _problem()
+        z = np.linspace(-1.0, 1.0, b.shape[0])
+        z.flags.writeable = False
+        before = z.tobytes()
+        with get_executor("inline") as inline:
+            inline.attach(A, b, part.sets, get_solver("scipy"))
+            ref = inline.solve_round([z] * part.nprocs)
+        ex = _make_executor(backend)
+        if chaos:
+            ex = ChaosExecutor(ex, FaultInjector(seed=1, drop_rounds=(1,)))
+        try:
+            ex.attach(A, b, part.sets, get_solver("scipy"))
+            got = {
+                l: ex.solve_blocks([(l, z)])[0]
+                for l in reversed(range(part.nprocs))
+            }
+        finally:
+            ex.close()
+        assert z.tobytes() == before
+        for l, want in enumerate(ref):
+            np.testing.assert_array_equal(got[l], want)
 
 
 class TestCrashSafety:

@@ -417,7 +417,7 @@ class TestFleetWire:
 
 
 # ---------------------------------------------------------------------------
-# absolute receive deadlines + the window/pool-depth contract
+# absolute receive deadlines + the receive-pool depth
 # ---------------------------------------------------------------------------
 
 
@@ -490,8 +490,8 @@ class TestReceiveDeadline:
             t.join(timeout=10.0)
 
 
-class TestWindowPoolContract:
-    """The pipelined window and the BufferPool depth are one invariant."""
+class TestBufferPoolDepth:
+    """Every receive pool rotates through the one shared depth."""
 
     def test_default_depth_is_the_shared_constant(self):
         from repro.runtime.wire import DEFAULT_POOL_DEPTH
@@ -499,29 +499,25 @@ class TestWindowPoolContract:
         pool = BufferPool()
         assert pool.depth == DEFAULT_POOL_DEPTH
 
-    def test_shipped_constants_satisfy_the_spec(self):
-        from repro.check.invariants import window_within_pool
-        from repro.core.sequential import _PIPELINE_WINDOW
-        from repro.runtime.wire import DEFAULT_POOL_DEPTH
-
-        assert window_within_pool(_PIPELINE_WINDOW, DEFAULT_POOL_DEPTH) is None
-
-    def test_pipelined_driver_refuses_bad_window(self, monkeypatch):
-        """The construction-time guard: window == depth must fail loudly
-        before any round runs (the model shows the torn fold it would
-        otherwise reintroduce -- see pipeline.window-eq-depth)."""
-        import repro.core.sequential as seq
-        from repro.core import make_weighting, multisplitting_iterate, uniform_bands
-        from repro.core.stopping import StoppingCriterion
+    def test_round_pieces_survive_until_the_pool_wraps(self):
+        """A barrier round's pieces stay intact for ``depth - 1`` further
+        rounds of the same batch; the next one reuses their buffers."""
         from repro.direct import get_solver
-        from repro.matrices import diagonally_dominant, rhs_for_solution
+        from repro.runtime import SocketExecutor
         from repro.runtime.wire import DEFAULT_POOL_DEPTH
 
-        monkeypatch.setattr(seq, "_PIPELINE_WINDOW", DEFAULT_POOL_DEPTH)
-        A, b, part, scheme = _executor_problem()
-        with pytest.raises(RuntimeError, match="pipelined dispatch misconfigured"):
-            multisplitting_iterate(
-                A, b, part, scheme, get_solver("scipy"),
-                stopping=StoppingCriterion(tolerance=1e-300, max_iterations=2),
-                dispatch="pipelined",
-            )
+        A, b, part, _ = _executor_problem()
+        rng = np.random.default_rng(0)
+        ex = SocketExecutor(workers=2)
+        try:
+            ex.attach(A, b, part.sets, get_solver("scipy"))
+            first = ex.solve_round([rng.standard_normal(b.shape[0])] * part.nprocs)
+            kept = [p.copy() for p in first]
+            for _ in range(DEFAULT_POOL_DEPTH - 1):
+                ex.solve_round([rng.standard_normal(b.shape[0])] * part.nprocs)
+            for piece, want in zip(first, kept):
+                np.testing.assert_array_equal(piece, want)
+            wrapped = ex.solve_round([rng.standard_normal(b.shape[0])] * part.nprocs)
+        finally:
+            ex.close()
+        assert all(np.shares_memory(p, q) for p, q in zip(first, wrapped))
