@@ -12,6 +12,12 @@ fill-in; SuperLU uses column orderings such as MMD and COLAMD.  We provide:
 
 All orderings operate on the pattern of ``A + A^T`` so they are valid
 symmetric permutations for non-symmetric inputs.
+
+These serve the from-scratch :class:`~repro.direct.sparse.SparseLU`.
+The SciPy kernel orders inside SuperLU and chooses per band
+(:meth:`~repro.direct.scipy_backend.ScipySuperLU.splu_options`): a
+diagonally dominant band takes SuperLU's ``MMD_AT_PLUS_A`` with its
+pivots on the diagonal, any other band COLAMD with partial pivoting.
 """
 
 from __future__ import annotations

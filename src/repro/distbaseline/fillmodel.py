@@ -87,8 +87,9 @@ class FillProfile:
 
 
 def exact_fill_profile(A) -> FillProfile:
-    """Measure the per-column fill with one real SuperLU factorization."""
-    handle = ScipySuperLU().factor(A)
+    """Measure the per-column fill with one real SuperLU factorization
+    under SuperLU's default options (COLAMD, partial pivoting)."""
+    handle = ScipySuperLU(permc_spec="COLAMD").factor(A)
     L = handle._handle.L.tocsc()
     U = handle._handle.U.tocsc()
     lnz = np.diff(L.indptr) - 1  # exclude the unit diagonal

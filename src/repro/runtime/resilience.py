@@ -680,20 +680,28 @@ class ChaosExecutor(Executor):
 # ---------------------------------------------------------------------------
 
 
-class _FlakyFactorization(Factorization):
-    """Factors that fail scheduled solves (delegating everything else)."""
+class _HookedFactorization(Factorization):
+    """A kernel's factors with ``hook()`` called before every solve.
 
-    def __init__(self, inner: Factorization, owner: "FlakySolver"):
+    Everything else is delegated, ``stats`` included: it reads through
+    on request, so wrapping a factor never computes its statistics
+    (those of a SciPy factor pull ``L`` and ``U``, holding it twice).
+    """
+
+    def __init__(self, inner: Factorization, hook: Callable[[], None]):
         self._inner = inner
-        self._owner = owner
-        self.stats = inner.stats
+        self._hook = hook
+
+    @property
+    def stats(self):
+        return self._inner.stats
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        self._owner._maybe_fail()
+        self._hook()
         return self._inner.solve(b)
 
     def solve_many(self, B: np.ndarray) -> np.ndarray:
-        self._owner._maybe_fail()
+        self._hook()
         return self._inner.solve_many(B)
 
 
@@ -765,7 +773,7 @@ class FlakySolver(DirectSolver):
             raise InjectedFault(f"injected kernel failure on solve call {call}")
 
     def factor(self, A) -> Factorization:
-        return _FlakyFactorization(self.inner.factor(A), self)
+        return _HookedFactorization(self.inner.factor(A), self._maybe_fail)
 
 
 class CrashOnceSolver(DirectSolver):
@@ -808,23 +816,6 @@ class CrashOnceSolver(DirectSolver):
                 os.close(fd)
                 os._exit(1)
         return self.inner.factor(A)
-
-
-class _StallOnceFactorization(Factorization):
-    """Factors whose first fleet-wide solve stalls (delegating the rest)."""
-
-    def __init__(self, inner: Factorization, owner: "StallOnceSolver"):
-        self._inner = inner
-        self._owner = owner
-        self.stats = inner.stats
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        self._owner._maybe_stall()
-        return self._inner.solve(b)
-
-    def solve_many(self, B: np.ndarray) -> np.ndarray:
-        self._owner._maybe_stall()
-        return self._inner.solve_many(B)
 
 
 class StallOnceSolver(DirectSolver):
@@ -873,24 +864,7 @@ class StallOnceSolver(DirectSolver):
         time.sleep(self.seconds)
 
     def factor(self, A) -> Factorization:
-        return _StallOnceFactorization(self.inner.factor(A), self)
-
-
-class _StragglerFactorization(Factorization):
-    """Factors that stall scheduled solves (delegating everything else)."""
-
-    def __init__(self, inner: Factorization, owner: "StragglerSolver"):
-        self._inner = inner
-        self._owner = owner
-        self.stats = inner.stats
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        self._owner._maybe_stall()
-        return self._inner.solve(b)
-
-    def solve_many(self, B: np.ndarray) -> np.ndarray:
-        self._owner._maybe_stall()
-        return self._inner.solve_many(B)
+        return _HookedFactorization(self.inner.factor(A), self._maybe_stall)
 
 
 class StragglerSolver(DirectSolver):
@@ -941,4 +915,4 @@ class StragglerSolver(DirectSolver):
         self._lock = threading.Lock()
 
     def factor(self, A) -> Factorization:
-        return _StragglerFactorization(self.inner.factor(A), self)
+        return _HookedFactorization(self.inner.factor(A), self._maybe_stall)

@@ -34,19 +34,26 @@ from repro.direct.scipy_backend import ScipyFactorization, ScipySuperLU
 from repro.grid import custom_cluster
 from repro.linalg.sparse import as_csc
 from repro.matrices import cage_like, diagonally_dominant, rhs_for_solution
-from repro.runtime import InlineExecutor, ProcessExecutor
+from repro.runtime import (
+    FlakySolver,
+    InlineExecutor,
+    ProcessExecutor,
+    StallOnceSolver,
+    StragglerSolver,
+)
 from repro.serve import SolverPool
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-PERMC_SPECS = ["COLAMD", "MMD_AT_PLUS_A", "MMD_ATA", "NATURAL"]
+PERMC_SPECS = [None, "COLAMD", "MMD_AT_PLUS_A", "MMD_ATA", "NATURAL"]
 
 
-def eager_stats(A, permc_spec: str = "COLAMD") -> FactorStats:
+def eager_stats(A, permc_spec: str | None = None) -> FactorStats:
     """The statistics as ``ScipySuperLU.factor`` computed them at every
-    factorisation before they became lazy -- the reference formula."""
+    factorisation before they became lazy -- the reference formula, on
+    the ``splu`` options the kernel chooses for ``A``."""
     csc = as_csc(A)
     n = csc.shape[0]
-    handle = spla.splu(csc, permc_spec=permc_spec)
+    handle = spla.splu(csc, **ScipySuperLU(permc_spec=permc_spec).splu_options(csc))
     L, U = handle.L, handle.U
     lnz_per_col = np.diff(L.tocsc().indptr) - 1  # exclude unit diagonal
     unz_per_col = np.diff(U.tocsc().indptr)
@@ -247,6 +254,27 @@ class TestHeldOnce:
             for system in ex.systems:
                 assert isinstance(system.factorization, ScipyFactorization)
                 assert "stats" not in vars(system.factorization)
+        finally:
+            ex.close()
+
+    @pytest.mark.parametrize("wrapper", ["flaky", "straggler", "stall-once"])
+    def test_the_chaos_kernels_read_through(self, wrapper, tmp_path):
+        kernel = get_solver("scipy")
+        solver = {
+            "flaky": lambda: FlakySolver(kernel),
+            "straggler": lambda: StragglerSolver(kernel),
+            "stall-once": lambda: StallOnceSolver(kernel, tmp_path / "stalled"),
+        }[wrapper]()
+        A = cage_like(800, seed=0)
+        part = uniform_bands(800, 4).to_general()
+        ex = InlineExecutor()
+        try:
+            ex.attach(A, np.ones(800), part.sets, solver)
+            ex.solve_round([np.zeros(800)] * 4)
+            for system in ex.systems:
+                fact = system.factorization
+                assert "stats" not in vars(fact._inner)
+                assert fact.stats is fact._inner.stats  # computed on request
         finally:
             ex.close()
 
