@@ -105,8 +105,9 @@ def multisplitting_iterate(
         attached/detached but not closed, so its workers are reusable.
     placement:
         Optional :class:`repro.schedule.Placement` pinning blocks to the
-        executor's workers (sticky affinity); the plan summary lands on
-        the result.  The partition should normally be the plan's own
+        fleet's workers (processes, sockets; the in-process backends
+        validate it and ignore it); the plan summary lands on the
+        result.  The partition should normally be the plan's own
         (``placement.partition().to_general()``).
     fault_policy:
         Optional :class:`repro.runtime.resilience.FaultPolicy` arming
@@ -123,16 +124,15 @@ def multisplitting_iterate(
         the tracer is returned on ``result.trace`` for export.  Tracing
         is observational only: iterates are bit-identical either way.
     elastic:
-        ``True``, an :class:`repro.schedule.ElasticPolicy`, or a
-        pre-built :class:`repro.schedule.ElasticController`: arm the
-        elastic re-planning loop.  Once per round, at the quiescent
-        barrier, the controller reacts to fleet membership changes
-        (``Executor.grow`` / ``Executor.shrink``, a recovery) or
-        measured calibration drift by re-balancing the block-to-worker
-        assignment and migrating only the moved blocks.  Partition
-        sizes never change, so iterates stay bit-identical to the
-        undisturbed run.  Migration counters land on
-        ``fault_stats`` (``grow_events`` / ``shrink_events`` /
+        ``True`` or a pre-built
+        :class:`repro.schedule.ElasticController`: arm the elastic
+        re-planning loop.  Once per round, at the quiescent barrier,
+        the controller reacts to fleet membership changes
+        (``Executor.grow`` / ``Executor.shrink``, a recovery) by
+        re-balancing the block-to-worker assignment and migrating only
+        the moved blocks.  Partition sizes never change, so iterates
+        stay bit-identical to the undisturbed run.  Migration counters
+        land on ``fault_stats`` (``grow_events`` / ``shrink_events`` /
         ``blocks_migrated`` / ``migration_seconds``).
     """
     with RunSession(

@@ -58,23 +58,23 @@ def _resolve_executor(executor):
 
 
 def _resolve_elastic(elastic, ex, nblocks: int, tracer):
-    """Build the per-run elastic controller (or pass one through).
+    """Build the per-run elastic controller (or rebase a pre-built one).
 
-    ``elastic`` may be ``True`` (default policy), an
-    :class:`repro.schedule.ElasticPolicy`, or a pre-built
-    :class:`repro.schedule.ElasticController`.  Constructed *after*
-    attach on purpose: the controller snapshots the executor's
-    membership version and block-seconds baseline at creation.
+    ``elastic`` is ``None``, ``False``, ``True`` or a
+    :class:`repro.schedule.ElasticController`.  Called *after* attach on
+    purpose: the controller takes the executor's membership version and
+    block-seconds baseline as "unchanged" then, so the version bump of
+    attach itself (or of a previous run) never reads as churn.
     """
     if elastic is None or elastic is False:
         return None
     # Lazy: repro.schedule builds on repro.core (same idiom as above).
-    from repro.schedule.elastic import ElasticController, ElasticPolicy
+    from repro.schedule.elastic import ElasticController
 
     if isinstance(elastic, ElasticController):
+        elastic.rebase()
         return elastic
-    policy = elastic if isinstance(elastic, ElasticPolicy) else None
-    return ElasticController(ex, nblocks, policy=policy, tracer=tracer)
+    return ElasticController(ex, nblocks, tracer=tracer)
 
 
 class RunSession:

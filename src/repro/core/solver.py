@@ -124,7 +124,8 @@ class MultisplittingSolver:
           cover the matrix).
 
         The resolved plan configures the partition, the simulated host
-        mapping, and the executor's sticky block-to-worker affinity in
+        mapping, and the fleet's block-to-worker pinning (processes,
+        sockets; the in-process backends validate it and ignore it) in
         one object; its summary lands on :attr:`SolveResult.placement`.
         ``None`` (default) keeps the legacy behaviour driven by
         ``proportional``.
@@ -178,7 +179,7 @@ class MultisplittingSolver:
         :class:`repro.observe.Tracer` makes every :meth:`solve` record
         its span timeline (a per-call ``trace=`` still overrides).
     elastic:
-        ``True`` or an :class:`repro.schedule.ElasticPolicy`: arm
+        ``True`` or a :class:`repro.schedule.ElasticController`: arm
         elastic re-planning in sequential mode (forwarded to
         :func:`repro.core.sequential.multisplitting_iterate` -- the
         fleet may :meth:`~repro.runtime.Executor.grow` and
@@ -370,7 +371,7 @@ class MultisplittingSolver:
         ``None`` means the legacy implicit layout (:meth:`build_partition`
         + first-N-hosts mapping); anything else is a
         :class:`repro.schedule.Placement` that sizes the partition, maps
-        simulated ranks to hosts, and pins executor workers.
+        simulated ranks to hosts, and pins fleet workers.
         """
         if self.placement is None:
             return None

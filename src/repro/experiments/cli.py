@@ -92,13 +92,6 @@ def main(argv: list[str] | None = None) -> int:
         "the schwarz weighting",
     )
     parser.add_argument(
-        "--elastic",
-        action="store_true",
-        help="enable elastic re-planning on the solvers (live on the "
-        "runtime-driven sequential mode: membership changes "
-        "and calibration drift re-balance blocks mid-solve)",
-    )
-    parser.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
@@ -120,8 +113,7 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.time()
         result = run_experiment(
             name, scale=args.scale, backend=args.backend,
-            placement=args.placement, partition=args.partition,
-            trace=tracer, elastic=args.elastic,
+            placement=args.placement, partition=args.partition, trace=tracer,
         )
         elapsed = time.time() - t0
         print(format_table(result))

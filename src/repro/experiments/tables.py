@@ -89,7 +89,6 @@ def _make_solvers(
     max_iterations: int | None = None,
     partition: str = "bands",
     trace=None,
-    elastic: bool = False,
 ) -> dict[str, MultisplittingSolver]:
     """One shared solver per mode, all draining the same factor cache.
 
@@ -110,7 +109,7 @@ def _make_solvers(
             mode=mode, direct_solver=PAPER_KERNEL, overlap=overlap,
             max_iterations=max_iterations, cache=cache, backend=backend,
             placement=placement, partition_strategy=partition,
-            weighting=weighting, trace=trace, elastic=elastic,
+            weighting=weighting, trace=trace,
         )
         for mode in ("synchronous", "asynchronous")
     }
@@ -137,15 +136,13 @@ def _fmt(value) -> Any:
 def _scalability_table(
     name: str, procs_list: list[int], *, scale: float, backend: str = "inline",
     placement: str | None = None, partition: str = "bands", trace=None,
-    elastic: bool = False,
 ) -> ExperimentResult:
     """Common driver for Tables 1 and 2 (cluster1 scalability)."""
     A, b, _ = load_workload(name, scale=scale)
     fill = _cached_fill(name, scale, A)
     cache = FactorizationCache(capacity=256)
     solvers = _make_solvers(
-        cache, backend=backend, placement=placement, partition=partition,
-        trace=trace, elastic=elastic,
+        cache, backend=backend, placement=placement, partition=partition, trace=trace,
     )
     rows: list[dict[str, Any]] = []
     try:
@@ -203,13 +200,13 @@ def _scalability_table(
 def table1(
     *, scale: float = 1.0, procs_list: list[int] | None = None,
     backend: str = "inline", placement: str | None = None,
-    partition: str = "bands", trace=None, elastic: bool = False,
+    partition: str = "bands", trace=None,
 ) -> ExperimentResult:
     """Table 1: scalability on cluster1 with the cage10 analog."""
     procs = procs_list or [1, 2, 3, 4, 6, 8, 9, 12, 16, 20]
     res = _scalability_table(
         "cage10", procs, scale=scale, backend=backend, placement=placement,
-        partition=partition, trace=trace, elastic=elastic,
+        partition=partition, trace=trace,
     )
     res.notes["paper_table"] = "Table 1"
     return res
@@ -218,7 +215,7 @@ def table1(
 def table2(
     *, scale: float = 1.0, procs_list: list[int] | None = None,
     backend: str = "inline", placement: str | None = None,
-    partition: str = "bands", trace=None, elastic: bool = False,
+    partition: str = "bands", trace=None,
 ) -> ExperimentResult:
     """Table 2: scalability on cluster1 with the cage11 analog.
 
@@ -229,7 +226,7 @@ def table2(
     procs = procs_list or [4, 6, 8, 9, 12, 16, 20]
     res = _scalability_table(
         "cage11", procs, scale=scale, backend=backend, placement=placement,
-        partition=partition, trace=trace, elastic=elastic,
+        partition=partition, trace=trace,
     )
     res.notes["paper_table"] = "Table 2"
     return res
@@ -238,7 +235,6 @@ def table2(
 def table3(
     *, scale: float = 1.0, backend: str = "inline",
     placement: str | None = None, partition: str = "bands", trace=None,
-    elastic: bool = False,
 ) -> ExperimentResult:
     """Table 3: the distant/heterogeneous cluster comparison."""
     cases = [
@@ -248,8 +244,7 @@ def table3(
     ]
     cache = FactorizationCache(capacity=256)
     solvers = _make_solvers(
-        cache, backend=backend, placement=placement, partition=partition,
-        trace=trace, elastic=elastic,
+        cache, backend=backend, placement=placement, partition=partition, trace=trace,
     )
     rows: list[dict[str, Any]] = []
     try:
@@ -308,7 +303,7 @@ def table3(
 def table4(
     *, scale: float = 1.0, perturbations: list[int] | None = None,
     backend: str = "inline", placement: str | None = None,
-    partition: str = "bands", trace=None, elastic: bool = False,
+    partition: str = "bands", trace=None,
 ) -> ExperimentResult:
     """Table 4: background traffic on the inter-site link (gen-large)."""
     perturbs = perturbations if perturbations is not None else [0, 1, 5, 10]
@@ -316,8 +311,7 @@ def table4(
     fill = _cached_fill("gen-large", scale, A)
     cache = FactorizationCache(capacity=256)
     solvers = _make_solvers(
-        cache, backend=backend, placement=placement, partition=partition,
-        trace=trace, elastic=elastic,
+        cache, backend=backend, placement=placement, partition=partition, trace=trace,
     )
     rows: list[dict[str, Any]] = []
     try:
@@ -367,7 +361,7 @@ def table4(
 def figure3(
     *, scale: float = 1.0, overlaps: list[int] | None = None,
     backend: str = "inline", placement: str | None = None,
-    partition: str = "bands", trace=None, elastic: bool = False,
+    partition: str = "bands", trace=None,
 ) -> ExperimentResult:
     """Figure 3: overlap sweep on the near-singular generated matrix.
 
@@ -396,13 +390,12 @@ def figure3(
                 mode="synchronous", direct_solver=PAPER_KERNEL, overlap=ov,
                 max_iterations=5_000, cache=cache, backend=backend,
                 placement=placement, partition_strategy=partition,
-                weighting=weighting, trace=trace, elastic=elastic,
+                weighting=weighting, trace=trace,
             ),
             "asynchronous": MultisplittingSolver(
                 mode="asynchronous", direct_solver=PAPER_KERNEL, overlap=ov,
                 cache=cache, backend=backend, placement=placement,
-                partition_strategy=partition, weighting=weighting,
-                trace=trace, elastic=elastic,
+                partition_strategy=partition, weighting=weighting, trace=trace,
             ),
         }
         try:

@@ -132,13 +132,12 @@ class Executor(abc.ABC):
         exactly once per binding.
 
         ``placement`` (a :class:`repro.schedule.Placement`) pins blocks
-        to workers: backends with per-worker state honour
-        ``placement.assignment`` as *sticky affinity* -- block ``l``
-        always solves on worker ``assignment[l]``, so that worker's
-        factor cache stays hot across rounds and re-attaches.  Backends
-        without worker identity (inline) record and ignore it.
-        Iterates never depend on the placement: a block solve is a pure
-        function of ``(block, z)`` wherever it runs.
+        to workers: the fleets (processes, sockets) attach block ``l``
+        to worker ``assignment[l]``, so that worker's factor cache stays
+        hot across rounds.  The in-process backends (inline, threads)
+        validate the plan and ignore it.  Iterates never depend on the
+        placement: a block solve is a pure function of ``(block, z)``
+        wherever it runs.
 
         ``fault_policy`` (a :class:`repro.runtime.resilience.FaultPolicy`)
         arms mid-solve recovery on backends with real workers: a worker

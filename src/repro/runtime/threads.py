@@ -27,12 +27,11 @@ what it computes -- each task is a pure function of ``(block, z)``, and
 results are gathered in request order.  Synchronous iterates are
 therefore bit-identical to :class:`~repro.runtime.InlineExecutor`.
 
-Placement: attaching with a :class:`repro.schedule.Placement` switches
-the backend from the shared free-for-all pool to *sticky slots* -- one
-single-thread pool per plan worker, block ``l`` always submitted to
-slot ``assignment[l]``.  The slot threads persist across bindings, so a
-block's working set (and, with per-thread NUMA/cache locality, its
-factors) stays with the thread that owns it.
+Placement: a :class:`repro.schedule.Placement` is validated against
+the binding and otherwise ignored -- every block runs on the one shared
+pool (pinning blocks to per-worker threads timed within 10% of it
+either way on 1-2 vCPU hosts).  The fleets (processes, sockets) are where a
+plan's block-to-worker assignment is honoured.
 
 The shared :class:`~repro.direct.cache.FactorizationCache` is safe here:
 its counters are updated under a single lock, and concurrent misses on
@@ -69,7 +68,6 @@ class ThreadExecutor(InProcessExecutor):
         super().__init__()
         self.max_workers = max_workers
         self._pool: ThreadPoolExecutor | None = None
-        self._slot_pools: list[ThreadPoolExecutor] = []
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
@@ -78,19 +76,6 @@ class ThreadExecutor(InProcessExecutor):
             )
         return self._pool
 
-    def _ensure_slot_pools(self, count: int) -> list[ThreadPoolExecutor]:
-        """One persistent single-thread pool per placement worker slot."""
-        while len(self._slot_pools) > count:
-            self._slot_pools.pop().shutdown(wait=True)
-        while len(self._slot_pools) < count:
-            rank = len(self._slot_pools)
-            self._slot_pools.append(
-                ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix=f"repro-slot-{rank}"
-                )
-            )
-        return self._slot_pools
-
     def _setup_executor(self):
         # attach() parallelises the per-block slice-and-factor bodies.
         return self
@@ -98,16 +83,8 @@ class ThreadExecutor(InProcessExecutor):
     def solve_blocks(
         self, tasks: Sequence[tuple[int, np.ndarray]]
     ) -> list[np.ndarray]:
-        if self._placement is not None:
-            slots = self._ensure_slot_pools(self._placement.nworkers)
-            assignment = self._placement.assignment
-            futures = [
-                slots[assignment[l]].submit(self._traced_solve, l, z)
-                for l, z in tasks
-            ]
-        else:
-            pool = self._ensure_pool()
-            futures = [pool.submit(self._traced_solve, l, z) for l, z in tasks]
+        pool = self._ensure_pool()
+        futures = [pool.submit(self._traced_solve, l, z) for l, z in tasks]
         tracer = self._tracer
         t_wait = tracer.now() if tracer is not None else 0.0
         pieces: list[np.ndarray] = []
@@ -133,5 +110,3 @@ class ThreadExecutor(InProcessExecutor):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        while self._slot_pools:
-            self._slot_pools.pop().shutdown(wait=True)

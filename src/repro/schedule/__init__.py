@@ -7,10 +7,9 @@ exchanges.  The *same* plan configures both worlds:
 
 * the grid **simulator** maps rank ``l`` onto the plan's worker's host
   (``run_synchronous(..., placement=plan)``);
-* the real **runtime** executors honour the plan's block-to-worker
-  assignment as sticky affinity
-  (``executor.attach(..., placement=plan)``), keeping per-worker factor
-  caches hot.
+* the real **runtime** fleets (processes, sockets) pin block ``l`` to
+  worker ``assignment[l]`` (``executor.attach(..., placement=plan)``);
+  the in-process backends validate the plan and ignore it.
 
 Plans are built from a cluster preset (:func:`cluster_placement`), from
 explicit speeds (:func:`uniform_placement`,
@@ -22,12 +21,7 @@ live micro-benchmarks of the actual workers
 from __future__ import annotations
 
 from repro.schedule.calibrate import calibrated_placement, measure_worker_speeds
-from repro.schedule.elastic import (
-    ElasticController,
-    ElasticPolicy,
-    balanced_assignment,
-    fixed_point_placement,
-)
+from repro.schedule.elastic import ElasticController, balanced_assignment
 from repro.schedule.pattern import (
     message_bytes_matrix,
     partition_placement,
@@ -46,7 +40,6 @@ from repro.schedule.plan import (
 
 __all__ = [
     "ElasticController",
-    "ElasticPolicy",
     "Placement",
     "WorkerSlot",
     "balanced_assignment",
@@ -54,7 +47,6 @@ __all__ = [
     "calibrated_placement",
     "cluster_placement",
     "cost_model_placement",
-    "fixed_point_placement",
     "iteration_cost_model",
     "measure_worker_speeds",
     "message_bytes_matrix",

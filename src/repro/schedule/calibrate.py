@@ -11,7 +11,10 @@ future) is calibratable without backend-specific hooks:
 1. build a small block-tridiagonal probe system with one identical band
    per worker;
 2. attach it with an *identity* placement (block ``w`` pinned to worker
-   ``w``), so each worker solves exactly its own probe band;
+   ``w``), so on a fleet (processes, sockets) each worker solves exactly
+   its own probe band; the in-process backends (inline, threads)
+   validate the pinning and ignore it -- every probe band runs on the
+   one shared pool, so there the probe measures one machine;
 3. run a warm-up round (first-touch costs: page faults, pool spin-up),
    then time ``repeats`` full rounds through the executor's own
    ``block_seconds()`` accounting -- the time is measured where the
@@ -52,7 +55,6 @@ def measure_worker_speeds(
     *,
     probe_size: int = 256,
     repeats: int = 5,
-    solver: str = "dense",
     outlier_factor: float = 4.0,
 ) -> list[float]:
     """Measure relative worker speeds with an identity-pinned probe.
@@ -71,9 +73,9 @@ def measure_worker_speeds(
     the plan: the median is untouched by a single outlier, and the guard
     keeps the poisoned sample out of the final average.
 
-    ``solver`` names the probe kernel (default ``"dense"``: its
-    ``O(probe_size^2)`` triangular sweeps give a measurable, identical
-    per-band cost).  Raise ``probe_size``/``repeats`` on noisy hosts.
+    The probe kernel is ``"dense"``: its ``O(probe_size^2)`` triangular
+    sweeps give a measurable, identical per-band cost.  Raise
+    ``probe_size``/``repeats`` on noisy hosts.
     """
     from repro.direct.base import get_solver
 
@@ -95,7 +97,7 @@ def measure_worker_speeds(
     )
     tracer = getattr(executor, "tracer", None)
     t_cal = tracer.now() if tracer is not None else 0.0
-    executor.attach(A, b, sets, get_solver(solver), placement=plan)
+    executor.attach(A, b, sets, get_solver("dense"), placement=plan)
     try:
         z = np.zeros(A.shape[0])
         executor.solve_round([z] * nworkers)  # warm-up, not timed
@@ -142,11 +144,8 @@ def calibrated_placement(
     nworkers: int,
     *,
     overlap: int = 0,
-    cost=None,
-    fixed: list[float] | None = None,
     probe_size: int = 256,
     repeats: int = 5,
-    names: list[str] | None = None,
 ) -> Placement:
     """Measure the executor's workers, then plan cost-balanced bands.
 
@@ -159,12 +158,6 @@ def calibrated_placement(
         executor, nworkers, probe_size=probe_size, repeats=repeats
     )
     workers = tuple(
-        WorkerSlot(
-            name=names[w] if names is not None else f"worker-{w:02d}",
-            speed=speeds[w],
-        )
-        for w in range(nworkers)
+        WorkerSlot(name=f"worker-{w:02d}", speed=speeds[w]) for w in range(nworkers)
     )
-    return cost_model_placement(
-        n, speeds, cost=cost, fixed=fixed, overlap=overlap, workers=workers
-    )
+    return cost_model_placement(n, speeds, overlap=overlap, workers=workers)

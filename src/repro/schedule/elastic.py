@@ -3,26 +3,15 @@
 The paper's grid setting fixes the machine set for a whole run, but the
 multisplitting theory does not: the convergence results hold per sweep,
 so the *splitting-to-worker* assignment may change between iterations as
-long as every block is solved by somebody each round.  This module
-exploits exactly that freedom:
-
-* :func:`fixed_point_placement` closes the planner's open sub-item --
-  the calibrated sizing pass of :func:`repro.schedule.cluster_placement`
-  prices communication on a *seed* partition and re-balances once, but
-  the priced costs themselves depend on the partition.  Here the
-  price -> re-balance -> re-price loop runs until the band sizes
-  stabilize (a seen-set breaks limit cycles), so the returned plan is a
-  fixed point of its own cost model.
-
-* :class:`ElasticController` is the mid-solve loop: once per round (at
-  the quiescent barrier, where no solve is in flight) it compares the
-  executor's ``membership_version()`` against the last one it saw and
-  measures calibration drift from the per-block solve seconds.  On
-  either trigger it computes a fresh block-to-worker assignment over the
-  *live* fleet -- deterministic LPT greedy on measured block weights --
-  diffs it against the live ``owner_map()``, and ships only the moved
-  blocks through ``Executor.migrate`` (the ``adopt`` verb underneath:
-  each adopter re-factors through its own cache).
+long as every block is solved by somebody each round.
+:class:`ElasticController` exploits exactly that freedom: once per round
+(at the quiescent barrier, where no solve is in flight) it compares the
+executor's ``membership_version()`` against the last one it saw.  When
+the fleet changed (a grow, a shrink, a recovery) it computes a fresh
+block-to-worker assignment over the *live* fleet -- deterministic LPT
+greedy on the block solve seconds measured since its last replan --
+and ``Executor.migrate`` ships only the moved blocks (the ``adopt`` verb
+underneath: each adopter re-factors through its own cache).
 
 Partition *sizes* are never changed mid-binding: a block solve is a pure
 function of ``(block, z)``, so moving blocks between workers keeps the
@@ -34,99 +23,7 @@ boundary-guarded protocol admits no double fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.schedule.plan import (
-    STRATEGIES,
-    WorkerSlot,
-    band_comm_costs,
-    cost_model_placement,
-    iteration_cost_model,
-    proportional_placement,
-    uniform_placement,
-)
-
-__all__ = [
-    "ElasticPolicy",
-    "ElasticController",
-    "fixed_point_placement",
-    "balanced_assignment",
-]
-
-
-def fixed_point_placement(
-    cluster,
-    n: int,
-    *,
-    nprocs: int | None = None,
-    strategy: str = "calibrated",
-    density: float = 5.0,
-    k: int = 1,
-    overlap: int = 0,
-    A=None,
-    weighting: str = "ownership",
-    max_rounds: int = 8,
-):
-    """Calibrated band sizing iterated to a fixed point.
-
-    The single-pass calibrated branch of
-    :func:`repro.schedule.cluster_placement` prices each band's message
-    cost on a proportional *seed* partition, then re-balances sizes
-    once -- but a pattern-aware price depends on where the band
-    boundaries actually fall, so the re-balanced plan is priced for a
-    partition it no longer is.  This pass closes the loop: re-price the
-    current sizes, re-balance, and repeat until the sizes repeat
-    themselves.  Convergence is guaranteed by the seen-set (sizes live
-    in a finite space; the first repeat -- fixed point or limit cycle --
-    ends the loop), and the band-formula price (``A=None``) is
-    size-independent, so that case stabilizes after one re-balance.
-
-    Parameters mirror ``cluster_placement(strategy="calibrated")``;
-    ``max_rounds`` caps the loop for pathological cost models.  The
-    ``"uniform"`` / ``"proportional"`` strategies need no pricing and
-    return in one shot (so callers can use this as a drop-in planner).
-    """
-    hosts = cluster.hosts if nprocs is None else cluster.hosts[:nprocs]
-    if nprocs is not None and nprocs > len(cluster.hosts):
-        raise ValueError(
-            f"{nprocs} workers requested but cluster {cluster.name!r} has "
-            f"{len(cluster.hosts)} hosts"
-        )
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    workers = tuple(
-        WorkerSlot(name=h.name, speed=h.speed, group=h.site) for h in hosts
-    )
-    speeds = [h.speed for h in hosts]
-    if strategy == "uniform":
-        return uniform_placement(n, len(hosts), overlap=overlap, workers=workers)
-    if strategy == "proportional":
-        return proportional_placement(n, speeds, overlap=overlap, workers=workers)
-    plan = proportional_placement(n, speeds, overlap=overlap, workers=workers)
-    cost = iteration_cost_model(density, k=k)
-    seen = {plan.sizes}
-    for _ in range(max_rounds):
-        if A is not None:
-            from repro.core.weighting import make_weighting
-            from repro.schedule.pattern import pattern_comm_costs
-
-            part = plan.partition().to_general()
-            fixed = pattern_comm_costs(
-                A, part, make_weighting(weighting, part), list(hosts), cluster,
-                k=k,
-            )
-        else:
-            fixed = band_comm_costs(list(hosts), cluster, n, k)
-        nxt = cost_model_placement(
-            n, speeds, cost=cost, fixed=fixed, overlap=overlap, workers=workers
-        )
-        if nxt.sizes == plan.sizes:  # fixed point: re-pricing is a no-op
-            return nxt
-        plan = nxt
-        if plan.sizes in seen:  # limit cycle: sizes repeated, stop here
-            return plan
-        seen.add(plan.sizes)
-    return plan
+__all__ = ["ElasticController", "balanced_assignment"]
 
 
 def balanced_assignment(
@@ -155,35 +52,6 @@ def balanced_assignment(
     return assignment
 
 
-@dataclass(frozen=True)
-class ElasticPolicy:
-    """Knobs of the elastic re-planning loop.
-
-    check_every:
-        Round cadence of the membership/drift check (1 = every round).
-    drift_threshold:
-        Relative per-worker load imbalance -- ``(max - min) / mean`` of
-        the workers' measured solve seconds since the last check --
-        above which the controller replans even without a membership
-        change.  ``None`` (default) replans on membership change only.
-    min_rounds_between:
-        Hysteresis: suppress replans for this many rounds after one
-        fires, so a churny fleet cannot thrash migrations.
-    """
-
-    check_every: int = 1
-    drift_threshold: float | None = None
-    min_rounds_between: int = 0
-
-    def __post_init__(self) -> None:
-        if self.check_every < 1:
-            raise ValueError("check_every must be >= 1")
-        if self.drift_threshold is not None and self.drift_threshold <= 0:
-            raise ValueError("drift_threshold must be positive")
-        if self.min_rounds_between < 0:
-            raise ValueError("min_rounds_between must be >= 0")
-
-
 class ElasticController:
     """Per-round elastic re-planning against one live executor binding.
 
@@ -191,21 +59,28 @@ class ElasticController:
     quiescent round boundary (all pieces folded, nothing in flight).
     The controller is deliberately read-mostly: one integer compare per
     round in the steady state, with measurement and migration only when
-    a trigger fires.  Executors without the elastic surface (no
+    the membership changed.  Executors without the elastic surface (no
     ``membership_version`` / ``migrate``) make every call a no-op, so
     drivers can wire the controller unconditionally.
     """
 
-    def __init__(self, executor, nblocks: int, *, policy=None, tracer=None):
+    def __init__(self, executor, nblocks: int, *, tracer=None):
         self.executor = executor
         self.nblocks = int(nblocks)
-        self.policy = policy if policy is not None else ElasticPolicy()
         self.tracer = tracer
         self.replans = 0
         self.blocks_moved = 0
+        self.rebase()
+
+    def rebase(self) -> None:
+        """Take the executor's current membership and seconds as unchanged.
+
+        Runs at construction, and again when a run binds a controller
+        built before it: ``attach`` itself bumps the membership version,
+        which is not churn.
+        """
         self._seen_version = self._version()
-        self._last_replan: int | None = None
-        self._prev_seconds: dict[int, float] = dict(self._seconds())
+        self._prev_seconds = self._seconds()
 
     def _version(self) -> int:
         fn = getattr(self.executor, "membership_version", None)
@@ -220,7 +95,7 @@ class ElasticController:
 
         Cumulative seconds would let ancient history outvote the
         current fleet's actual speeds, so only the delta since the last
-        check matters; blocks with no signal yet weigh equally.
+        replan matters; blocks with no signal yet weigh equally.
         """
         now = self._seconds()
         delta = {
@@ -232,55 +107,24 @@ class ElasticController:
         floor = max(delta.values()) * 1e-3
         return {l: max(s, floor) for l, s in delta.items()}
 
-    def _drift(self, weights: dict[int, float], owner: dict[int, int]) -> float:
-        """Relative per-worker imbalance of the measured loads."""
-        per_worker: dict[int, float] = {}
-        for l, w in owner.items():
-            per_worker[w] = per_worker.get(w, 0.0) + weights.get(l, 0.0)
-        if len(per_worker) < 2:
-            return 0.0
-        loads = list(per_worker.values())
-        mean = sum(loads) / len(loads)
-        if mean <= 0.0:
-            return 0.0
-        return (max(loads) - min(loads)) / mean
-
     def maybe_replan(self, round_index: int) -> int:
-        """Check the triggers; migrate moved blocks if one fired.
+        """Re-balance over the live fleet if its membership changed.
 
-        Returns the number of blocks migrated (0 when nothing fired).
+        Returns the number of blocks migrated (0 when nothing changed).
         """
-        policy = self.policy
-        if round_index % policy.check_every != 0:
-            return 0
-        if (
-            self._last_replan is not None
-            and round_index - self._last_replan < policy.min_rounds_between
-        ):
-            return 0
         migrate = getattr(self.executor, "migrate", None)
         owner_fn = getattr(self.executor, "owner_map", None)
         alive_fn = getattr(self.executor, "alive_workers", None)
         if not (callable(migrate) and callable(owner_fn) and callable(alive_fn)):
             return 0
-        version = self._version()
-        owner = dict(owner_fn())
-        if not owner:
+        if self._version() == self._seen_version or not owner_fn():
             return 0
         weights = self._weights()
-        fired = version != self._seen_version
-        if not fired and policy.drift_threshold is not None:
-            fired = self._drift(weights, owner) > policy.drift_threshold
-        if not fired:
-            return 0
-        self._seen_version = version
-        self._prev_seconds = self._seconds()
+        self.rebase()
         alive = list(alive_fn())
         if not alive:
             return 0
-        assignment = balanced_assignment(weights, alive)
-        moved = int(migrate(assignment))
-        self._last_replan = round_index
+        moved = int(migrate(balanced_assignment(weights, alive)))
         self.replans += 1
         self.blocks_moved += moved
         if self.tracer is not None:

@@ -11,9 +11,10 @@ and co-location groups -- and both consumers read the same plan:
   :func:`repro.core.asynchronous.run_asynchronous`) map rank ``l`` onto
   the plan's worker's host, so the simulator charges the band exactly
   where the plan put it;
-* the **real** executors (:mod:`repro.runtime`) honour the plan's
-  block-to-worker assignment as sticky affinity, so a block's factors
-  stay in the worker that owns them across rounds and re-attaches.
+* the **real** fleets (:mod:`repro.runtime` processes and sockets)
+  pin block ``l`` to worker ``assignment[l]``, so a block's factors stay
+  in the worker that owns them across rounds; the in-process backends
+  (inline, threads) validate the plan and ignore it.
 
 Plans come from three sources, matching the ``--placement`` flag of
 ``repro-experiments``:

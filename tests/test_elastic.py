@@ -8,10 +8,11 @@ never-disturbed inline run.  The conformance matrix asserts exactly
 that, across both distributed backends and every decomposition shape of
 the paper's Remarks 2-3.
 
-Around it: the no-op contract for fleetless executors, the fixed-point
-calibrated planner, the deterministic LPT re-balancer, migration
-accounting on ``FaultStats``, chaos-driven churn injection, and the
-kill-then-grow monotonicity of the wire/cache counters.
+Around it: the no-op contract for fleetless executors, the deterministic
+LPT re-balancer, a controller built before the run that must not read
+attach as churn, migration accounting on ``FaultStats``, chaos-driven
+churn injection, and the kill-then-grow monotonicity of the wire/cache
+counters.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.core.partition import interleaved_partition, permuted_bands
 from repro.core.stopping import StoppingCriterion
 from repro.direct import get_solver
 from repro.direct.cache import FactorizationCache
-from repro.grid.topology import cluster1, cluster3
 from repro.runtime import (
     ChaosExecutor,
     FaultInjector,
@@ -38,14 +38,7 @@ from repro.runtime import (
     SocketExecutor,
     ThreadExecutor,
 )
-from repro.schedule import (
-    ElasticController,
-    ElasticPolicy,
-    balanced_assignment,
-    fixed_point_placement,
-    proportional_placement,
-    uniform_placement,
-)
+from repro.schedule import ElasticController, balanced_assignment
 
 BACKENDS = ("processes", "sockets")
 
@@ -303,55 +296,6 @@ class TestChaosChurn:
             chaos.close()
 
 
-class TestFixedPointPlanner:
-    def test_sizes_partition_and_determinism(self):
-        cluster = cluster3(10)
-        plan = fixed_point_placement(cluster, 4000, nprocs=10)
-        again = fixed_point_placement(cluster, 4000, nprocs=10)
-        assert sum(plan.sizes) == 4000 and len(plan.sizes) == 10
-        assert all(s > 0 for s in plan.sizes)
-        assert plan.sizes == again.sizes
-        assert plan.assignment == tuple(range(10))
-
-    def test_band_price_fixed_point_reached(self):
-        """With the size-independent band price the result is a true
-        fixed point: re-pricing and re-balancing reproduces the sizes."""
-        from repro.schedule import (
-            band_comm_costs,
-            cost_model_placement,
-            iteration_cost_model,
-        )
-
-        cluster = cluster1(6)
-        n = 3000
-        plan = fixed_point_placement(cluster, n, nprocs=6)
-        hosts = cluster.hosts[:6]
-        speeds = [h.speed for h in hosts]
-        re_balanced = cost_model_placement(
-            n, speeds,
-            cost=iteration_cost_model(5.0, k=1),
-            fixed=band_comm_costs(list(hosts), cluster, n, 1),
-            workers=plan.workers,
-        )
-        assert re_balanced.sizes == plan.sizes
-
-    def test_shortcut_strategies_match_their_planners(self):
-        cluster = cluster3(10)
-        hosts = cluster.hosts
-        speeds = [h.speed for h in hosts]
-        uni = fixed_point_placement(cluster, 1000, strategy="uniform")
-        prop = fixed_point_placement(cluster, 1000, strategy="proportional")
-        assert uni.sizes == uniform_placement(1000, len(hosts)).sizes
-        assert prop.sizes == proportional_placement(1000, speeds).sizes
-
-    def test_validation(self):
-        cluster = cluster1(4)
-        with pytest.raises(ValueError, match="hosts"):
-            fixed_point_placement(cluster, 100, nprocs=99)
-        with pytest.raises(ValueError, match="strategy"):
-            fixed_point_placement(cluster, 100, strategy="nope")
-
-
 class TestBalancedAssignment:
     def test_lpt_greedy_known_case(self):
         weights = {0: 3.0, 1: 2.0, 2: 2.0, 3: 1.0}
@@ -376,15 +320,7 @@ class TestBalancedAssignment:
             balanced_assignment({0: 1.0}, [])
 
 
-class TestElasticPolicyAndController:
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            ElasticPolicy(check_every=0)
-        with pytest.raises(ValueError):
-            ElasticPolicy(drift_threshold=0.0)
-        with pytest.raises(ValueError):
-            ElasticPolicy(min_rounds_between=-1)
-
+class TestElasticController:
     def test_controller_noop_without_elastic_surface(self):
         """Wiring the controller over a fleetless executor costs nothing."""
         A, b, part, scheme = _general_problem("band", n=48, L=2)
@@ -397,78 +333,77 @@ class TestElasticPolicyAndController:
         finally:
             ex.close()
 
-    def test_drift_trigger_replans_without_membership_change(self):
+    def test_weights_are_seconds_since_the_last_replan(self):
+        """A version bump re-balances on the block seconds measured since
+        the previous replan: cumulative seconds would let the first
+        window's load outvote the current one."""
+
         class _Fake:
-            """Static two-worker fleet with a lopsided measured load."""
-
-            def __init__(self):
-                self.owner = {0: 0, 1: 0, 2: 0, 3: 1}
-                self.migrations = []
-
-            def membership_version(self):
-                return 7
-
-            def block_seconds(self):
-                return {0: 4.0, 1: 4.0, 2: 4.0, 3: 1.0}
-
-            def owner_map(self):
-                return dict(self.owner)
-
-            def alive_workers(self):
-                return [0, 1]
-
-            def migrate(self, assignment):
-                moved = {
-                    l: w for l, w in assignment.items() if self.owner[l] != w
-                }
-                self.owner.update(moved)
-                self.migrations.append(moved)
-                return len(moved)
-
-        fake = _Fake()
-        ctrl = ElasticController(
-            fake, 4, policy=ElasticPolicy(drift_threshold=0.5)
-        )
-        # Seconds were snapshotted at init; re-reading shows no *delta*,
-        # so uniform weights -> drift (3 blocks vs 1) fires the trigger.
-        moved = ctrl.maybe_replan(1)
-        assert moved >= 1 and ctrl.replans == 1
-        loads = {w: list(fake.owner.values()).count(w) for w in (0, 1)}
-        assert loads == {0: 2, 1: 2}
-
-    def test_hysteresis_suppresses_back_to_back_replans(self):
-        class _Versioned:
             def __init__(self):
                 self.version = 0
-                self.calls = 0
+                self.seconds = {0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0}
+                self.assignments = []
 
             def membership_version(self):
                 return self.version
 
             def block_seconds(self):
-                return {}
+                return dict(self.seconds)
 
             def owner_map(self):
-                return {0: 0, 1: 1}
+                return {0: 0, 1: 0, 2: 1, 3: 1}
 
             def alive_workers(self):
                 return [0, 1]
 
             def migrate(self, assignment):
-                self.calls += 1
+                self.assignments.append(dict(assignment))
                 return 0
 
-        fake = _Versioned()
-        ctrl = ElasticController(
-            fake, 2, policy=ElasticPolicy(min_rounds_between=4)
-        )
+        fake = _Fake()
+        ctrl = ElasticController(fake, 4)
+        fake.seconds = {0: 9.0, 1: 8.0, 2: 1.0, 3: 1.0}
+        assert ctrl.maybe_replan(1) == 0 and fake.assignments == []
         fake.version = 1
-        assert ctrl.maybe_replan(1) == 0 and ctrl.replans == 1
+        ctrl.maybe_replan(2)
+        first = {0: 9.0, 1: 8.0, 2: 1.0, 3: 1.0}
+        assert fake.assignments == [balanced_assignment(first, [0, 1])]
+        fake.seconds = {0: 10.0, 1: 9.0, 2: 9.0, 3: 10.0}
         fake.version = 2
-        assert ctrl.maybe_replan(2) == 0
-        assert ctrl.replans == 1  # suppressed: within the hysteresis window
-        assert ctrl.maybe_replan(5) == 0
+        ctrl.maybe_replan(3)
+        since = {0: 1.0, 1: 1.0, 2: 8.0, 3: 9.0}
+        cumulative = fake.seconds
+        assert balanced_assignment(since, [0, 1]) != balanced_assignment(
+            cumulative, [0, 1]
+        )
+        assert fake.assignments[1] == balanced_assignment(since, [0, 1])
         assert ctrl.replans == 2
+
+
+class TestPreBuiltController:
+    """A controller built before the run binds sees no churn from attach."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kind", PARTITION_KINDS)
+    def test_no_churn_moves_nothing(self, backend, kind):
+        A, b, part, scheme = _general_problem(kind)
+        stopping = StoppingCriterion(tolerance=1e-300, max_iterations=4)
+        ref = multisplitting_iterate(
+            A, b, part, scheme, get_solver("scipy"), stopping=stopping
+        )
+        ex = _make_executor(backend)
+        try:
+            controller = ElasticController(ex, part.nprocs)
+            res = multisplitting_iterate(
+                A, b, part, scheme, get_solver("scipy"),
+                stopping=stopping, executor=ex, elastic=controller,
+            )
+        finally:
+            ex.close()
+        assert controller.replans == 0 and controller.blocks_moved == 0
+        assert res.fault_stats.blocks_migrated == 0
+        assert res.history == ref.history
+        np.testing.assert_array_equal(res.x, ref.x)
 
 
 class TestKillThenGrowMonotonicity:

@@ -133,3 +133,12 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["table7"])
+
+    def test_cli_has_no_elastic_flag(self):
+        """The replays run the simulated modes, which have no fleet to
+        re-plan: ``--elastic`` is an unknown option."""
+        from repro.experiments.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["table4", "--elastic"])
+        assert exc.value.code == 2

@@ -12,8 +12,9 @@ Every execution backend -- inline, threads, processes, and the TCP
 * factor-once cache accounting wherever the counters physically live
   (the caller's cache for in-process backends, per-worker caches
   aggregated by ``run_cache_stats`` for process/socket backends);
-* sticky placement affinity (a :class:`repro.schedule.Placement` pins
-  block ``l`` to worker ``assignment[l]``) without changing iterates;
+* placement without changing iterates: the fleets pin block ``l`` to
+  worker ``assignment[l]`` of a :class:`repro.schedule.Placement`, the
+  in-process backends validate the plan and ignore it;
 * crash-safe teardown: ``close`` completes, never raises, and stays
   idempotent even after a worker process died mid-binding.
 """
@@ -213,6 +214,42 @@ class TestDeterminismConformance:
         assert res.placement == plan.summary()
         np.testing.assert_array_equal(res.x, ref.x)
         assert set(res.block_seconds) == set(range(4))
+
+    def test_threads_ignore_a_placement(self):
+        """One plan worker over four blocks: the thread backend still runs
+        every block on its shared pool, bit-identical to inline, and
+        ``close`` leaves none of its threads behind."""
+        import threading
+
+        A, b, part, _ = _problem()
+        plan = Placement(
+            strategy="test",
+            n=96,
+            workers=(WorkerSlot(name="w0"),),
+            sizes=(24, 24, 24, 24),
+            assignment=(0, 0, 0, 0),
+        )
+        Z = [np.ones(b.shape)] * part.nprocs
+        with _make_executor("inline") as inline:
+            inline.attach(A, b, part.sets, get_solver("scipy"))
+            ref = inline.solve_round(Z)
+        before = set(threading.enumerate())
+        ex = _make_executor("threads")
+        try:
+            ex.attach(A, b, part.sets, get_solver("scipy"), placement=plan)
+            pieces = ex.solve_round(Z)
+            seconds = ex.block_seconds()
+        finally:
+            ex.close()
+        for got, want in zip(pieces, ref):
+            np.testing.assert_array_equal(got, want)
+        assert set(seconds) == set(range(4))
+        assert all(s > 0.0 for s in seconds.values())
+        left = [
+            t.name for t in threading.enumerate()
+            if t.name.startswith("repro-") and t not in before
+        ]
+        assert left == []
 
 
 class TestCacheConformance:
