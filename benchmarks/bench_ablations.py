@@ -4,7 +4,7 @@ These are *not* in the paper's tables; they quantify the knobs the paper
 discusses in prose:
 
 * direct-kernel choice ("any sequential direct solver whether it is
-  dense, band or sparse") -- microbenchmarks of the four kernels;
+  dense, band or sparse") -- microbenchmarks of the three kernels;
 * convergence-detection protocol (centralized [2] vs decentralized [4]);
 * weighting family (Section 4's derived algorithms);
 * synchronous/asynchronous crossover as a function of WAN latency.
@@ -28,7 +28,7 @@ def _emit_timing(benchmark, name: str, *, seed: int | None = None) -> None:
 
 
 # -- direct kernels ----------------------------------------------------
-@pytest.mark.parametrize("kernel", ["dense", "banded", "sparse", "scipy"])
+@pytest.mark.parametrize("kernel", ["dense", "banded", "scipy"])
 def test_kernel_factor(benchmark, kernel):
     """Factor a 300x300 banded dominant matrix with each kernel."""
     A = banded_random(300, lower_bw=6, upper_bw=6, seed=1)
@@ -38,9 +38,9 @@ def test_kernel_factor(benchmark, kernel):
     _emit_timing(benchmark, f"kernel_factor_{kernel}", seed=1)
 
 
-@pytest.mark.parametrize("kernel", ["sparse", "scipy"])
+@pytest.mark.parametrize("kernel", ["scipy"])
 def test_kernel_factor_cage(benchmark, kernel):
-    """Sparse kernels on a fill-heavy cage analog (n=400)."""
+    """The sparse kernel on a fill-heavy cage analog (n=400)."""
     A = cage_like(400, seed=2)
     solver = get_solver(kernel)
     benchmark(lambda: solver.factor(A))

@@ -42,7 +42,7 @@ from repro.schedule import calibrated_placement, uniform_placement
 #: Deterministic slow-down factor per worker (solve repeated that many times).
 HANDICAPS = (1, 4, 16)
 OUTER_ITERATIONS = 24
-GRID = 45  # 2025 unknowns
+GRID = 90  # 8100 unknowns
 
 
 class NicedThreadExecutor(ThreadExecutor):
@@ -76,9 +76,7 @@ def placement_experiment():
     try:
         plans = {}
         t0 = time.perf_counter()
-        plans["calibrated"] = calibrated_placement(
-            ex, n, L, probe_size=192, repeats=4
-        )
+        plans["calibrated"] = calibrated_placement(ex, n, L, repeats=4)
         calibration_seconds = time.perf_counter() - t0
         speeds = [w.speed for w in plans["calibrated"].workers]
         plans["uniform"] = uniform_placement(n, L)

@@ -9,7 +9,7 @@ apply), verifies the matrix classes, and solves it on a custom two-site
 heterogeneous grid with speed-proportional band sizes.
 
 It also contrasts the direct kernels: the same multisplitting outer loop
-over our own sparse Gilbert-Peierls LU versus SciPy's SuperLU.
+over LAPACK's band LU versus SciPy's SuperLU.
 
 Run:  python examples/poisson_grid.py
 """
@@ -62,8 +62,8 @@ for label, proportional in (("proportional bands", True), ("uniform bands", Fals
         f"{res.simulated_time:.4f} s simulated, residual {res.residual:.2e}"
     )
 
-# -- swap the direct kernel: our own sparse LU vs SciPy's SuperLU ------
-for kernel in ("sparse", "scipy"):
+# -- swap the direct kernel: LAPACK's band LU vs SciPy's SuperLU -------
+for kernel in ("banded", "scipy"):
     solver = MultisplittingSolver(
         mode="synchronous", direct_solver=get_solver(kernel)
     )

@@ -8,8 +8,8 @@ The package is organised as:
 * :mod:`repro.core` -- the paper's contribution: the multisplitting-direct
   solver (synchronous and asynchronous), partitions/overlap, weighting
   families, convergence theory.
-* :mod:`repro.direct` -- sequential direct solver kernels (dense, banded,
-  sparse LU) playing the role of SuperLU 3.0.
+* :mod:`repro.direct` -- sequential direct solver kernels (LAPACK dense
+  and band LU, SuperLU) playing the role of SuperLU 3.0.
 * :mod:`repro.distbaseline` -- the distributed-LU baseline playing the role
   of SuperLU_DIST 2.0.
 * :mod:`repro.grid` -- deterministic discrete-event grid simulator (hosts,

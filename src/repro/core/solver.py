@@ -63,8 +63,8 @@ class MultisplittingSolver:
     mode:
         ``"sequential"``, ``"synchronous"`` or ``"asynchronous"``.
     direct_solver:
-        Registry name (``"dense"``, ``"banded"``, ``"sparse"``, ``"scipy"``)
-        or a :class:`~repro.direct.base.DirectSolver` instance.  This is
+        Registry name (``"dense"``, ``"banded"``, ``"scipy"``) or a
+        :class:`~repro.direct.base.DirectSolver` instance.  This is
         the paper's "any sequential direct solver" plug point.  A *list*
         of names/instances (one per processor) mixes different kernels
         across the bands -- the coupling of "different direct algorithms

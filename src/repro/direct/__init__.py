@@ -1,23 +1,22 @@
 """Sequential direct solver kernels (the SuperLU 3.0 role).
 
 The paper builds its multisplitting solvers on the *sequential* version of
-SuperLU; this package provides the equivalent kernels behind a single
+SuperLU and accepts "any sequential direct solver whether it is dense,
+band or sparse"; this package puts each behind a single
 :class:`~repro.direct.base.DirectSolver` interface:
 
 ==========  ===========================================================
-``dense``   LU with partial pivoting (:mod:`repro.direct.dense`)
-``banded``  band LU, LAPACK-style storage (:mod:`repro.direct.banded`)
-``sparse``  left-looking Gilbert-Peierls LU with partial pivoting and
-            fill-reducing orderings (:mod:`repro.direct.sparse`)
-``scipy``   the real SuperLU via ``scipy.sparse.linalg.splu``
-            (:mod:`repro.direct.scipy_backend`) -- fast path & cross-check
+``dense``   LAPACK ``getrf``/``getrs`` (:mod:`repro.direct.dense`)
+``banded``  LAPACK ``gbtrf``/``gbtrs`` (:mod:`repro.direct.banded`)
+``scipy``   SuperLU via ``scipy.sparse.linalg.splu``, the sparse kernel
+            (:mod:`repro.direct.scipy_backend`)
 ==========  ===========================================================
 
 Use :func:`get_solver` to instantiate by name, e.g.
-``get_solver("sparse", ordering="mindeg")``.
+``get_solver("scipy", permc_spec="COLAMD")``.
 """
 
-from repro.direct.banded import BandedFactorization, BandedLU, to_band_storage
+from repro.direct.banded import BandedFactorization, BandedLU
 from repro.direct.cache import (
     CacheKey,
     CacheStats,
@@ -40,23 +39,9 @@ from repro.direct.costs import (
     banded_factor_cost,
     dense_factor_cost,
     sparse_factor_cost,
-    triangular_solve_flops,
 )
-from repro.direct.dense import DenseFactorization, DenseLU, lu_decompose
-from repro.direct.ordering import (
-    ORDERINGS,
-    compute_ordering,
-    minimum_degree_ordering,
-    rcm_ordering,
-)
+from repro.direct.dense import DenseFactorization, DenseLU
 from repro.direct.scipy_backend import ScipyFactorization, ScipySuperLU
-from repro.direct.sparse import SparseFactorization, SparseLU
-from repro.direct.triangular import (
-    backward_substitution,
-    forward_substitution,
-    sparse_lower_solve,
-    sparse_upper_solve,
-)
 
 __all__ = [
     "BYTES_PER_NNZ",
@@ -71,28 +56,15 @@ __all__ = [
     "DirectSolver",
     "Factorization",
     "FactorStats",
-    "ORDERINGS",
     "ScipyFactorization",
     "ScipySuperLU",
     "SingularMatrixError",
-    "SparseFactorization",
-    "SparseLU",
     "available_solvers",
-    "backward_substitution",
     "banded_factor_cost",
-    "compute_ordering",
     "dense_factor_cost",
-    "forward_substitution",
     "get_solver",
-    "lu_decompose",
     "matrix_fingerprint",
-    "minimum_degree_ordering",
-    "rcm_ordering",
     "register_solver",
     "solver_fingerprint",
     "sparse_factor_cost",
-    "sparse_lower_solve",
-    "sparse_upper_solve",
-    "to_band_storage",
-    "triangular_solve_flops",
 ]

@@ -1,21 +1,22 @@
-"""Banded LU factorization in LAPACK-style band storage, from scratch.
+"""Band LU with partial pivoting: an adapter over LAPACK ``gbtrf``/``gbtrs``.
 
 The paper stresses that the multisplitting construction accepts "any
-sequential direct solver whether it is dense, band or sparse".  This kernel
-covers the band case: storage is the ``gbtrf`` layout (diagonals as rows),
-elimination runs column by column touching only the band window.
-
-Pivoting: the kernel eliminates **without row pivoting** and rejects small
-pivots.  This is the classical safe regime -- for the diagonally dominant
-and M-matrix classes of Section 5 (exactly where multisplitting is provably
-convergent) LU without pivoting is backward stable, and no fill outside the
-band can appear.  Callers with general matrices should use the ``dense`` or
-``sparse`` kernels.
+sequential direct solver whether it is dense, band or sparse".  This
+kernel covers the band case: the matrix is packed into the ``gbtrf``
+layout (diagonals as rows, ``kl`` extra rows for the fill that row
+interchanges bring into ``U``), and ``info > 0`` -- an exact zero pivot
+-- raises :class:`SingularMatrixError`.  :attr:`BandedFactorization.stats`
+is :func:`repro.direct.costs.banded_factor_cost` with ``U``'s bandwidth
+after interchanges, ``kl + ku``, plus the held arrays' size, built when
+first read (only the simulated drivers read it).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from repro.direct.base import (
     DirectSolver,
@@ -24,148 +25,76 @@ from repro.direct.base import (
     SingularMatrixError,
     register_solver,
 )
-from repro.linalg.sparse import as_csr, lower_bandwidth, upper_bandwidth
+from repro.direct.costs import banded_factor_cost
+from repro.linalg.sparse import as_csr
 
-__all__ = ["BandedLU", "BandedFactorization", "to_band_storage"]
-
-
-def to_band_storage(A, kl: int, ku: int) -> np.ndarray:
-    """Pack ``A`` into band storage ``ab`` with ``ab[ku + i - j, j] = A[i, j]``.
-
-    The returned array has shape ``(kl + ku + 1, n)``; entries outside the
-    band are dropped (they must be zero for the factorization to be exact,
-    which :class:`BandedLU` verifies).
-    """
-    csr = as_csr(A)
-    n = csr.shape[0]
-    ab = np.zeros((kl + ku + 1, n))
-    coo = csr.tocoo()
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        d = i - j
-        if -ku <= d <= kl:
-            ab[ku + d, j] = v
-    return ab
+__all__ = ["BandedLU", "BandedFactorization"]
 
 
 class BandedFactorization(Factorization):
-    """Band LU handle: ``L`` (unit, ``kl`` sub-diagonals) and ``U`` in band storage."""
+    """``gbtrf`` factors in band storage, with their pivots and bandwidths."""
 
-    def __init__(self, ab: np.ndarray, kl: int, ku: int, stats: FactorStats):
-        self._ab = ab
+    def __init__(self, lu: np.ndarray, piv: np.ndarray, kl: int, ku: int, nnz_a: int):
+        self._lu = lu
+        self._piv = piv
         self._kl = kl
         self._ku = ku
-        self.stats = stats
+        self._nnz_a = nnz_a
+        self.n = lu.shape[1]
+
+    @cached_property
+    def stats(self) -> FactorStats:
+        """Cost summary, computed when first asked for."""
+        n, kl = self.n, self._kl
+        cost = banded_factor_cost(n, kl, kl + self._ku)
+        nnz_factors = self._lu.shape[0] * n
+        return FactorStats(
+            n=n,
+            factor_flops=cost.factor_flops,
+            solve_flops=cost.solve_flops,
+            nnz_factors=nnz_factors,
+            memory_bytes=self._lu.nbytes + self._piv.nbytes,
+            fill_ratio=nnz_factors / max(self._nnz_a, 1),
+        )
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Forward/backward substitution sweeping the band rows only."""
-        n = self.stats.n
-        x = np.array(b, dtype=float, copy=True)
-        if x.shape != (n,):
-            raise ValueError(f"rhs must have shape ({n},)")
-        return self._band_substitute(x)
+        b = np.asarray(b, dtype=float)
+        if b.shape != (self.n,):
+            raise ValueError(f"rhs must have shape ({self.n},)")
+        return dgbtrs(self._lu, self._kl, self._ku, b, self._piv)[0]
 
     def solve_many(self, B: np.ndarray) -> np.ndarray:
-        """Solve all columns of ``B`` with one batched band sweep."""
+        """``gbtrs`` takes every column in one call."""
         B = np.asarray(B, dtype=float)
         if B.ndim == 1:
             return self.solve(B)
-        n = self.stats.n
-        if B.ndim != 2 or B.shape[0] != n:
-            raise ValueError(f"B must have shape ({n}, k), got {B.shape}")
-        return self._band_substitute(np.array(B, dtype=float, copy=True))
-
-    def _band_substitute(self, x: np.ndarray) -> np.ndarray:
-        """In-place forward/backward sweep; ``x`` is ``(n,)`` or ``(n, k)``."""
-        n = self.stats.n
-        kl, ku = self._kl, self._ku
-        ab = self._ab
-        batched = x.ndim == 2
-        # Forward: L has unit diagonal; multipliers are stored at ab[ku+1:, j].
-        for j in range(n):
-            xj = x[j]
-            if np.any(xj != 0.0):
-                i_hi = min(n, j + kl + 1)
-                rows = np.arange(j + 1, i_hi)
-                if rows.size:
-                    m = ab[ku + rows - j, j]
-                    x[rows] -= m[:, None] * xj if batched else m * xj
-        # Backward with U.
-        for j in range(n - 1, -1, -1):
-            d = ab[ku, j]
-            x[j] /= d
-            xj = x[j]
-            if np.any(xj != 0.0):
-                i_lo = max(0, j - ku)
-                rows = np.arange(i_lo, j)
-                if rows.size:
-                    m = ab[ku + rows - j, j]
-                    x[rows] -= m[:, None] * xj if batched else m * xj
-        return x
-
-    @property
-    def bandwidths(self) -> tuple[int, int]:
-        """Return ``(kl, ku)``."""
-        return self._kl, self._ku
+        if B.ndim != 2 or B.shape[0] != self.n:
+            raise ValueError(f"B must have shape ({self.n}, k), got {B.shape}")
+        return dgbtrs(self._lu, self._kl, self._ku, B, self._piv)[0]
 
 
 @register_solver
 class BandedLU(DirectSolver):
-    """Band LU without pivoting (registry name ``"banded"``).
+    """Band LU with partial pivoting (registry name ``"banded"``).
 
-    Parameters
-    ----------
-    pivot_tol:
-        Relative pivot threshold; a pivot whose magnitude falls below
-        ``pivot_tol * max|A|`` aborts with :class:`SingularMatrixError`
-        rather than silently producing garbage.
+    The bandwidths are those of the stored entries of ``A``.
     """
 
     name = "banded"
 
-    def __init__(self, *, pivot_tol: float = 1e-12):
-        if pivot_tol < 0:
-            raise ValueError("pivot_tol must be non-negative")
-        self.pivot_tol = pivot_tol
-
     def factor(self, A) -> BandedFactorization:
-        csr = as_csr(A)
-        n = csr.shape[0]
+        coo = as_csr(A).tocoo()
+        n = coo.shape[0]
+        if coo.shape != (n, n):
+            raise ValueError("matrix must be square")
         if n == 0:
             raise ValueError("empty matrix")
-        kl = lower_bandwidth(csr)
-        ku = upper_bandwidth(csr)
-        ab = to_band_storage(csr, kl, ku)
-        scale = float(np.max(np.abs(ab))) if ab.size else 0.0
-        if scale == 0.0:
-            raise SingularMatrixError("zero matrix")
-        threshold = self.pivot_tol * scale
-        flops = 0.0
-        # Column-wise elimination inside the band.
-        for k in range(n):
-            pivot = ab[ku, k]
-            if abs(pivot) <= threshold:
-                raise SingularMatrixError(
-                    f"pivot {pivot!r} below threshold at step {k}; "
-                    "use the dense or sparse kernel for this matrix"
-                )
-            i_hi = min(n, k + kl + 1)
-            for i in range(k + 1, i_hi):
-                m = ab[ku + i - k, k] / pivot
-                ab[ku + i - k, k] = m
-                if m != 0.0:
-                    j_hi = min(n, k + ku + 1)
-                    cols = np.arange(k + 1, j_hi)
-                    if cols.size:
-                        ab[ku + i - cols, cols] -= m * ab[ku + k - cols, cols]
-                        flops += 2.0 * cols.size + 1.0
-        nnz_factors = int((kl + ku + 1) * n)
-        nnz_input = max(csr.nnz, 1)
-        stats = FactorStats(
-            n=n,
-            factor_flops=flops,
-            solve_flops=2.0 * n * (kl + ku + 1),
-            nnz_factors=nnz_factors,
-            memory_bytes=ab.nbytes,
-            fill_ratio=nnz_factors / nnz_input,
-        )
-        return BandedFactorization(ab, kl, ku, stats)
+        offset = coo.row - coo.col
+        kl = int(offset.max(initial=0))
+        ku = int(-offset.min(initial=0))
+        ab = np.zeros((2 * kl + ku + 1, n))
+        np.add.at(ab, (kl + ku + offset, coo.col), coo.data)
+        lu, piv, info = dgbtrf(ab, kl, ku)
+        if info > 0:
+            raise SingularMatrixError(f"exact zero pivot at step {info - 1}")
+        return BandedFactorization(lu, piv, kl, ku, coo.nnz)

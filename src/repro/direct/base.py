@@ -13,8 +13,8 @@ Every kernel reports a :class:`FactorStats` on request
 (``Factorization.stats``) so the grid simulator can charge realistic
 compute time and memory for the factorization and for each re-solve, and
 so the "not enough memory" outcome of Table 3 can be reproduced
-faithfully.  A kernel may compute it when first read: nothing on the path
-of a real solve reads it.
+faithfully.  The built-in kernels compute it when first read: nothing on
+the path of a real solve reads it.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class FactorStats:
 class Factorization(abc.ABC):
     """Handle returned by :meth:`DirectSolver.factor`."""
 
-    #: Populated by concrete kernels -- an attribute, or a property
-    #: computed on first read where the numbers cost something to get.
+    #: Provided by concrete kernels -- an attribute, or (the built-in
+    #: kernels) a property computed on first read.
     stats: FactorStats
 
     @abc.abstractmethod
@@ -143,8 +143,8 @@ def available_solvers() -> list[str]:
 def get_solver(name: str, **kwargs) -> DirectSolver:
     """Instantiate a registered kernel by name.
 
-    ``kwargs`` are forwarded to the kernel constructor (e.g. ``ordering=``
-    for the sparse kernel).
+    ``kwargs`` are forwarded to the kernel constructor (e.g.
+    ``permc_spec=`` for ``"scipy"``).
     """
     _ensure_builtin_imports()
     try:
@@ -158,4 +158,4 @@ def get_solver(name: str, **kwargs) -> DirectSolver:
 
 def _ensure_builtin_imports() -> None:
     # Import the built-in kernels for their registration side effects.
-    from repro.direct import banded, dense, scipy_backend, sparse  # noqa: F401
+    from repro.direct import banded, dense, scipy_backend  # noqa: F401

@@ -23,9 +23,9 @@ code path:
   :class:`repro.grid.trace.RunStats` in the distributed solvers.
 
 The cache is deliberately backend-agnostic: any
-:class:`~repro.direct.base.DirectSolver` (dense LU, banded, sparse
-Gilbert-Peierls, the SciPy SuperLU adapter) can sit behind it, including a
-mixed per-band kernel assignment.
+:class:`~repro.direct.base.DirectSolver` (the dense and band LAPACK
+adapters, SuperLU) can sit behind it, including a mixed per-band kernel
+assignment.
 """
 
 from __future__ import annotations

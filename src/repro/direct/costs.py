@@ -3,8 +3,9 @@
 Two consumers:
 
 * the **grid simulator** charges compute time as ``flops / host_rate``;
-  for kernels we implemented the flops are *counted*, but the distributed
-  baseline and capacity planning need *a-priori* estimates;
+  LAPACK counts no flops, so the dense and band adapters report these
+  models, and the distributed baseline and capacity planning need them
+  as *a-priori* estimates;
 * the **memory model** decides whether a factorization fits on a host,
   which is how the paper's "nem" (not enough memory) entries of Table 3
   arise.
@@ -22,7 +23,6 @@ __all__ = [
     "dense_factor_cost",
     "banded_factor_cost",
     "sparse_factor_cost",
-    "triangular_solve_flops",
     "BYTES_PER_NNZ",
 ]
 
@@ -62,7 +62,12 @@ def dense_factor_cost(n: int) -> CostEstimate:
 
 
 def banded_factor_cost(n: int, kl: int, ku: int) -> CostEstimate:
-    """Band LU without pivoting: ``~2 n kl ku`` flops, ``O(n (kl+ku))`` memory."""
+    """Band LU: ``~2 n kl ku`` flops, ``O(n (kl+ku))`` memory.
+
+    ``ku`` is ``U``'s upper bandwidth.  Partial pivoting widens it from
+    the matrix's ``ku`` to ``kl + ku``, which is what a pivoting caller
+    passes.
+    """
     if min(n, kl, ku) < 0:
         raise ValueError("arguments must be non-negative")
     width = kl + ku + 1
@@ -95,9 +100,3 @@ def sparse_factor_cost(n: int, nnz: int, *, fill_ratio: float = 8.0) -> CostEsti
         memory_bytes=int(BYTES_PER_NNZ * nnz_f),
     )
 
-
-def triangular_solve_flops(nnz_factors: int) -> float:
-    """Flops of forward+backward substitution with ``nnz_factors`` entries."""
-    if nnz_factors < 0:
-        raise ValueError("nnz_factors must be non-negative")
-    return 2.0 * nnz_factors

@@ -1,16 +1,20 @@
-"""Dense LU factorization with partial pivoting, from scratch.
+"""Dense LU with partial pivoting: an adapter over LAPACK ``getrf``/``getrs``.
 
-Right-looking (outer-product) elimination with row partial pivoting, the
-textbook ``getrf`` algorithm, vectorised with NumPy rank-1 updates.  Used
-for small sub-systems, as the reference against which the banded and sparse
-kernels are validated, and as the numeric engine of the distributed-LU
-baseline's real-data mode.
+LAPACK is called directly rather than through ``scipy.linalg.lu_factor``,
+which only *warns* on an exact zero pivot: here ``info > 0`` raises
+:class:`SingularMatrixError`.  :attr:`DenseFactorization.stats` is the
+textbook model :func:`repro.direct.costs.dense_factor_cost` plus the
+held arrays' size, built when first read (only the simulated drivers
+read it).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from repro.direct.base import (
     DirectSolver,
@@ -19,136 +23,63 @@ from repro.direct.base import (
     SingularMatrixError,
     register_solver,
 )
-from repro.direct.triangular import backward_substitution, forward_substitution
+from repro.direct.costs import dense_factor_cost
 
-__all__ = ["DenseLU", "DenseFactorization", "lu_decompose"]
-
-
-def lu_decompose(A: np.ndarray, *, pivot_tol: float = 0.0) -> tuple[np.ndarray, np.ndarray, float]:
-    """Compute an in-place packed LU with partial pivoting.
-
-    Returns ``(LU, piv, flops)`` where ``LU`` stores ``L`` strictly below
-    the diagonal (unit diagonal implied) and ``U`` on and above it, and
-    ``piv[k]`` is the row swapped with ``k`` at step ``k`` (LAPACK ipiv
-    convention, 0-based).
-
-    Raises
-    ------
-    SingularMatrixError
-        If the selected pivot magnitude is ``<= pivot_tol``.
-    """
-    LU = np.array(A, dtype=float, copy=True)
-    if LU.ndim != 2 or LU.shape[0] != LU.shape[1]:
-        raise ValueError("matrix must be square")
-    n = LU.shape[0]
-    piv = np.arange(n)
-    flops = 0.0
-    for k in range(n):
-        col = np.abs(LU[k:, k])
-        p = int(np.argmax(col)) + k
-        if col[p - k] <= pivot_tol:
-            raise SingularMatrixError(f"singular pivot at step {k}")
-        piv[k] = p
-        if p != k:
-            LU[[k, p], :] = LU[[p, k], :]
-        if k < n - 1:
-            LU[k + 1 :, k] /= LU[k, k]
-            LU[k + 1 :, k + 1 :] -= np.outer(LU[k + 1 :, k], LU[k, k + 1 :])
-            m = n - k - 1
-            flops += m + 2.0 * m * m
-    return LU, piv, flops
-
-
-def _apply_row_pivots(b: np.ndarray, piv: np.ndarray) -> np.ndarray:
-    x = np.array(b, dtype=float, copy=True)
-    for k, p in enumerate(piv):
-        if p != k:
-            x[k], x[p] = x[p], x[k]
-    return x
+__all__ = ["DenseLU", "DenseFactorization"]
 
 
 class DenseFactorization(Factorization):
-    """Packed dense LU handle."""
+    """Packed ``getrf`` factors and their pivots."""
 
-    def __init__(self, LU: np.ndarray, piv: np.ndarray, stats: FactorStats):
-        self._LU = LU
+    def __init__(self, lu: np.ndarray, piv: np.ndarray, nnz_a: int):
+        self._lu = lu
         self._piv = piv
-        self.stats = stats
+        self._nnz_a = nnz_a
+        self.n = lu.shape[0]
+
+    @cached_property
+    def stats(self) -> FactorStats:
+        """Cost summary, computed when first asked for."""
+        n = self.n
+        cost = dense_factor_cost(n)
+        return FactorStats(
+            n=n,
+            factor_flops=cost.factor_flops,
+            solve_flops=cost.solve_flops,
+            nnz_factors=n * n,
+            memory_bytes=self._lu.nbytes + self._piv.nbytes,
+            fill_ratio=(n * n) / max(self._nnz_a, 1),
+        )
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve via row pivots + forward + backward substitution."""
         b = np.asarray(b, dtype=float)
-        if b.shape != (self.stats.n,):
-            raise ValueError(f"rhs must have shape ({self.stats.n},)")
-        y = _apply_row_pivots(b, self._piv)
-        y = forward_substitution(self._LU, y, unit_diagonal=True)
-        return backward_substitution(self._LU, y)
+        if b.shape != (self.n,):
+            raise ValueError(f"rhs must have shape ({self.n},)")
+        return dgetrs(self._lu, self._piv, b)[0]
 
     def solve_many(self, B: np.ndarray) -> np.ndarray:
-        """Solve all columns of ``B`` in one pair of batched triangular sweeps."""
+        """``getrs`` takes every column in one call."""
         B = np.asarray(B, dtype=float)
         if B.ndim == 1:
             return self.solve(B)
-        if B.ndim != 2 or B.shape[0] != self.stats.n:
-            raise ValueError(f"B must have shape ({self.stats.n}, k), got {B.shape}")
-        # Sequentially applying the ipiv swaps equals indexing by the
-        # accumulated permutation (see the ``permutation`` property).
-        y = B[self.permutation]
-        y = forward_substitution(self._LU, y, unit_diagonal=True)
-        return backward_substitution(self._LU, y)
-
-    @property
-    def L(self) -> np.ndarray:
-        """Unit lower factor (for tests and the theory module)."""
-        n = self.stats.n
-        return np.tril(self._LU, -1) + np.eye(n)
-
-    @property
-    def U(self) -> np.ndarray:
-        """Upper factor."""
-        return np.triu(self._LU)
-
-    @property
-    def permutation(self) -> np.ndarray:
-        """Row permutation ``perm`` with ``A[perm] = L @ U``."""
-        n = self.stats.n
-        perm = np.arange(n)
-        for k, p in enumerate(self._piv):
-            if p != k:
-                perm[k], perm[p] = perm[p], perm[k]
-        return perm
+        if B.ndim != 2 or B.shape[0] != self.n:
+            raise ValueError(f"B must have shape ({self.n}, k), got {B.shape}")
+        return dgetrs(self._lu, self._piv, B)[0]
 
 
 @register_solver
 class DenseLU(DirectSolver):
-    """Dense LU with partial pivoting (registry name ``"dense"``).
-
-    Parameters
-    ----------
-    pivot_tol:
-        Pivot magnitudes at or below this threshold raise
-        :class:`SingularMatrixError`; the default ``0.0`` only rejects exact
-        zeros, matching LAPACK semantics.
-    """
+    """Dense LU with partial pivoting (registry name ``"dense"``)."""
 
     name = "dense"
 
-    def __init__(self, *, pivot_tol: float = 0.0):
-        if pivot_tol < 0:
-            raise ValueError("pivot_tol must be non-negative")
-        self.pivot_tol = pivot_tol
-
     def factor(self, A) -> DenseFactorization:
         dense = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-        nnz_input = int(np.count_nonzero(dense)) or 1
-        LU, piv, flops = lu_decompose(dense, pivot_tol=self.pivot_tol)
-        n = LU.shape[0]
-        stats = FactorStats(
-            n=n,
-            factor_flops=flops,
-            solve_flops=2.0 * n * n,
-            nnz_factors=n * n,
-            memory_bytes=LU.nbytes + piv.nbytes,
-            fill_ratio=(n * n) / nnz_input,
-        )
-        return DenseFactorization(LU, piv, stats)
+        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+            raise ValueError("matrix must be square")
+        if dense.shape[0] == 0:
+            raise ValueError("empty matrix")
+        lu, piv, info = dgetrf(dense)
+        if info > 0:
+            raise SingularMatrixError(f"exact zero pivot at step {info - 1}")
+        return DenseFactorization(lu, piv, int(np.count_nonzero(dense)))

@@ -1,12 +1,9 @@
 """SciPy SuperLU adapter.
 
 ``scipy.sparse.linalg.splu`` wraps the *actual* SuperLU library (the very
-code the paper uses, version-modernised), so exposing it behind the
-:class:`repro.direct.base.DirectSolver` interface gives the repository a
-fast, independently-implemented kernel:
-
-* benchmarks can run at larger orders than the pure-Python kernels allow;
-* tests cross-validate our from-scratch kernels against it.
+code the paper uses, version-modernised); behind the
+:class:`repro.direct.base.DirectSolver` interface it is the repository's
+sparse kernel, and the one the paper-table replays run.
 
 **Each band is ordered for its factor.**  By default the options of
 ``splu`` are chosen per band, from the band alone, in one pass over its

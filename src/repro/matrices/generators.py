@@ -235,8 +235,8 @@ def banded_random(
     """Return a dense-in-band random matrix with prescribed bandwidths.
 
     The band direct solver (:mod:`repro.direct.banded`) is exercised with
-    these; ``dominance > 1`` keeps partial pivoting benign so the
-    no-pivoting band kernel stays stable.
+    these; ``dominance > 1`` makes them strictly diagonally dominant by
+    rows, hence non-singular.
     """
     if n <= 0:
         raise ValueError("n must be positive")

@@ -3,9 +3,8 @@
 When threads help despite the GIL: a multisplitting block solve is one
 sparse right-hand-side update (``dep @ z``) followed by triangular solves
 through the factored band -- and the heavy parts of every bundled kernel
-(SuperLU's ``gstrs`` via SciPy, LAPACK via the dense kernel, the banded
-and sparse kernels' vectorised NumPy sweeps) drop the GIL while they run
-native code.  That buys overlap only when a kernel call is *long*: a
+(SuperLU's ``gstrs`` via SciPy, LAPACK via the dense and banded
+kernels) drop the GIL while they run native code.  That buys overlap only when a kernel call is *long*: a
 thread that drops the lock must win it back afterwards, so two threads
 looping on a 31-39 us SuperLU ``solve`` (a 375-row band) take 66-171 us
 per pair of calls -- up to 2.8x slower than taking turns -- while a

@@ -53,7 +53,7 @@ def measure_worker_speeds(
     executor,
     nworkers: int,
     *,
-    probe_size: int = 256,
+    probe_size: int = 1024,
     repeats: int = 5,
     outlier_factor: float = 4.0,
 ) -> list[float]:
@@ -73,9 +73,13 @@ def measure_worker_speeds(
     the plan: the median is untouched by a single outlier, and the guard
     keeps the poisoned sample out of the final average.
 
-    The probe kernel is ``"dense"``: its ``O(probe_size^2)`` triangular
-    sweeps give a measurable, identical per-band cost.  Raise
-    ``probe_size``/``repeats`` on noisy hosts.
+    The probe kernel is ``"dense"`` (LAPACK ``getrs``): each band's
+    solve reads all ``probe_size^2`` entries of its LU, an identical
+    per-band cost.  The default ``probe_size`` keeps that cost near a
+    millisecond; below about 45 us a call is swamped by interpreter-lock
+    hand-offs on the threaded backend and the measured speeds stop
+    ranking the workers.  Raise ``probe_size``/``repeats`` on noisy
+    hosts.
     """
     from repro.direct.base import get_solver
 
@@ -144,7 +148,7 @@ def calibrated_placement(
     nworkers: int,
     *,
     overlap: int = 0,
-    probe_size: int = 256,
+    probe_size: int = 1024,
     repeats: int = 5,
 ) -> Placement:
     """Measure the executor's workers, then plan cost-balanced bands.

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from repro.direct import (
     FactorizationCache,
+    ScipySuperLU,
     get_solver,
     matrix_fingerprint,
     solver_fingerprint,
 )
 from repro.matrices import diagonally_dominant, poisson_2d, rhs_for_solution
 
-KERNELS = ["dense", "banded", "sparse", "scipy"]
+KERNELS = ["dense", "banded", "scipy"]
 
 
 def random_spd(n: int, seed: int) -> np.ndarray:
@@ -109,15 +110,15 @@ class TestCacheMechanics:
     def test_solver_config_separates_entries(self):
         """Different kernel parameters must not share factorizations."""
         A = poisson_2d(4)
-        s_rcm = get_solver("sparse", ordering="rcm")
-        s_nat = get_solver("sparse", ordering="natural")
-        assert solver_fingerprint(s_rcm) != solver_fingerprint(s_nat)
+        s_colamd = ScipySuperLU(permc_spec="COLAMD")
+        s_nat = ScipySuperLU(permc_spec="NATURAL")
+        assert solver_fingerprint(s_colamd) != solver_fingerprint(s_nat)
         cache = FactorizationCache()
-        cache.factor(s_rcm, A)
+        cache.factor(s_colamd, A)
         cache.factor(s_nat, A)
         assert cache.stats.misses == 2
         # same config, different instance: shares the entry
-        cache.factor(get_solver("sparse", ordering="rcm"), A)
+        cache.factor(ScipySuperLU(permc_spec="COLAMD"), A)
         assert cache.stats.hits == 1
 
     def test_dense_and_sparse_content_share_nothing(self):

@@ -28,12 +28,18 @@ from repro.core.asynchronous import run_asynchronous
 from repro.core.distributed import band_memory_bytes
 from repro.core.local import build_local_systems
 from repro.core.sync import run_synchronous
-from repro.direct import get_solver
+from repro.direct import banded_factor_cost, dense_factor_cost, get_solver
 from repro.direct.base import FactorStats
 from repro.direct.scipy_backend import ScipyFactorization, ScipySuperLU
 from repro.grid import custom_cluster
 from repro.linalg.sparse import as_csc
-from repro.matrices import cage_like, diagonally_dominant, rhs_for_solution
+from repro.matrices import (
+    banded_random,
+    cage_like,
+    diagonally_dominant,
+    poisson_2d,
+    rhs_for_solution,
+)
 from repro.runtime import (
     FlakySolver,
     InlineExecutor,
@@ -115,13 +121,46 @@ class TestLazyStatsAreTheEagerFormula:
             fact.solve_many(np.ones((399, 2)))
         assert "stats" not in vars(fact)
 
-    @pytest.mark.parametrize("kernel", ["dense", "banded", "sparse"])
-    def test_the_other_kernels_still_store_theirs(self, kernel):
-        # They count while they factor; there is nothing to defer.
+    @pytest.mark.parametrize("kernel", ["dense", "banded", "scipy"])
+    def test_no_kernel_computes_stats_at_factor_time(self, kernel):
         A = diagonally_dominant(30, dominance=1.5, bandwidth=3, seed=0)
         fact = get_solver(kernel).factor(A)
-        assert isinstance(vars(fact)["stats"], FactorStats)
+        fact.solve_many(np.ones((30, 2)))
+        assert "stats" not in vars(fact)
+        assert isinstance(fact.stats, FactorStats)
         assert fact.stats.n == 30 and fact.stats.factor_flops > 0
+        assert fact.stats is vars(fact)["stats"]
+
+
+class TestAdapterStatsAreTheCostModels:
+    """LAPACK counts nothing: the dense and band adapters report the
+    textbook models of :mod:`repro.direct.costs` and the size of what
+    they hold."""
+
+    def test_dense(self):
+        A = diagonally_dominant(40, dominance=1.5, bandwidth=3, seed=2)
+        stats = get_solver("dense").factor(A.toarray()).stats
+        cost = dense_factor_cost(40)
+        assert stats.factor_flops == cost.factor_flops
+        assert stats.solve_flops == cost.solve_flops == 2.0 * 40 * 40
+        assert stats.nnz_factors == 40 * 40
+        assert stats.memory_bytes == 8 * 40 * 40 + 4 * 40
+        assert stats.fill_ratio == 40 * 40 / np.count_nonzero(A.toarray())
+
+    def test_banded_counts_the_fill_of_row_interchanges(self):
+        A = banded_random(50, lower_bw=2, upper_bw=3, seed=2)
+        stats = get_solver("banded").factor(A).stats
+        cost = banded_factor_cost(50, 2, 2 + 3)  # U widens to kl + ku
+        assert stats.factor_flops == cost.factor_flops
+        assert stats.solve_flops == cost.solve_flops == 2.0 * (2 * 2 + 3 + 1) * 50
+        assert stats.nnz_factors == (2 * 2 + 3 + 1) * 50
+        assert stats.memory_bytes == 8 * (2 * 2 + 3 + 1) * 50 + 4 * 50
+        assert stats.fill_ratio == stats.nnz_factors / A.nnz
+
+    def test_the_sparse_kernel_holds_less_than_dense(self):
+        A = poisson_2d(12)
+        held = {k: get_solver(k).factor(A).stats.memory_bytes for k in ("dense", "scipy")}
+        assert held["scipy"] < held["dense"]
 
 
 class TestSimulatorGetsTheSameNumbers:
@@ -288,7 +327,7 @@ class TestHeldOnce:
         against 3.1 MB per factor; 6.4 against 13.5 at order 6000)."""
         script = """
 import resource
-from repro.direct import get_solver
+from repro.direct import banded_factor_cost, dense_factor_cost, get_solver
 from repro.matrices import cage_like
 
 def resident():

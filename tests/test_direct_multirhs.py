@@ -1,18 +1,23 @@
-"""Batched multi-RHS triangular solves: one vectorized call == column loop."""
+"""Every kernel, one suite: solves against ``np.linalg.solve``, and a
+batched multi-RHS call equals its column loop."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.direct import (
-    backward_substitution,
-    forward_substitution,
-    get_solver,
-    sparse_lower_solve,
-    sparse_upper_solve,
+from repro.direct import SingularMatrixError, get_solver
+from repro.matrices import (
+    advection_diffusion_2d,
+    banded_random,
+    cage_like,
+    diagonally_dominant,
+    poisson_2d,
+    rhs_for_solution,
 )
-from repro.matrices import diagonally_dominant, poisson_2d, rhs_for_solution
 
-KERNELS = ["dense", "banded", "sparse", "scipy"]
+KERNELS = ["dense", "banded", "scipy"]
 
 
 def rhs_batch(n: int, k: int, seed: int) -> np.ndarray:
@@ -22,11 +27,15 @@ def rhs_batch(n: int, k: int, seed: int) -> np.ndarray:
 def assert_machine_equal(X, X_loop):
     """Batched and looped results must agree to machine precision.
 
-    The sparse/banded sweeps are bit-identical; the dense kernel's batched
-    path goes through a different BLAS routine (gemv vs dot), which may
-    differ in the last ulp.
+    A batched LAPACK solve may take a different BLAS routine (``trsm``
+    against ``trsv``), which may differ in the last ulp.
     """
     np.testing.assert_allclose(X, X_loop, rtol=1e-14, atol=1e-13)
+
+
+def assert_oracle(A, x, b, atol=1e-9):
+    dense = A.toarray() if sp.issparse(A) else A
+    np.testing.assert_allclose(x, np.linalg.solve(dense, b), atol=atol)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -64,69 +73,82 @@ class TestSolveMany:
         A = diagonally_dominant(10, dominance=1.5, bandwidth=2, seed=8)
         fact = get_solver(kernel).factor(A)
         with pytest.raises(ValueError):
+            fact.solve(np.ones(11))
+        with pytest.raises(ValueError):
+            fact.solve(np.ones((10, 1)))
+        with pytest.raises(ValueError):
             fact.solve_many(np.zeros((11, 2)))
         with pytest.raises(ValueError):
             fact.solve_many(np.zeros((10, 2, 2)))
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            lambda: poisson_2d(6),
+            lambda: advection_diffusion_2d(7, peclet=1.5),
+            lambda: cage_like(150, seed=5),
+            lambda: banded_random(35, lower_bw=3, upper_bw=2, seed=1),
+            lambda: sp.diags([2.0, 4.0, 8.0]).tocsr(),
+        ],
+        ids=["poisson", "advection", "cage", "asymmetric-band", "diagonal"],
+    )
+    def test_solve_matches_numpy(self, kernel, matrix):
+        A = matrix()
+        b = np.linspace(-1.0, 1.0, A.shape[0])
+        fact = get_solver(kernel).factor(A)
+        assert_oracle(A, fact.solve(b), b)
+        B = rhs_batch(A.shape[0], 3, seed=9)
+        assert_oracle(A, fact.solve_many(B), B)
 
-class TestBatchedTriangularKernels:
-    def test_dense_forward_backward_batched(self):
-        rng = np.random.default_rng(9)
-        n, k = 12, 4
-        L = np.tril(rng.standard_normal((n, n))) + 3.0 * np.eye(n)
-        U = np.triu(rng.standard_normal((n, n))) + 3.0 * np.eye(n)
-        B = rng.standard_normal((n, k))
-        for tri, fn, kwargs in [
-            (L, forward_substitution, {}),
-            (L, forward_substitution, {"unit_diagonal": True}),
-            (U, backward_substitution, {}),
-        ]:
-            X = fn(tri, B, **kwargs)
-            X_loop = np.column_stack([fn(tri, B[:, j], **kwargs) for j in range(k)])
-            assert_machine_equal(X, X_loop)
-
-    def test_duplicate_csc_entries_accumulate(self):
-        """Non-canonical CSC input: duplicates must sum, not last-write-win."""
-        import scipy.sparse as sp
-
-        L = sp.csc_matrix(
-            (np.array([0.5, 0.5]), np.array([2, 2]), np.array([0, 2, 2, 2])),
-            shape=(3, 3),
+    def test_dense_and_sparse_input_agree(self, kernel):
+        A = diagonally_dominant(25, dominance=1.5, bandwidth=3, seed=4)
+        b = np.ones(25)
+        solver = get_solver(kernel)
+        np.testing.assert_allclose(
+            solver.solve(A, b), solver.solve(A.toarray(), b), atol=1e-12
         )
-        x = sparse_lower_solve(L, np.array([1.0, 0.0, 0.0]), unit_diagonal=True)
-        np.testing.assert_array_equal(x, [1.0, 0.0, -1.0])
-        X = sparse_lower_solve(
-            L, np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]]), unit_diagonal=True
-        )
-        np.testing.assert_array_equal(X[2], [-1.0, -2.0])
-        U = sp.csc_matrix(
-            (np.array([1.0, 0.25, 0.25, 2.0]), np.array([0, 0, 0, 1]),
-             np.array([0, 1, 4])),
-            shape=(2, 2),
-        )
-        xu = sparse_upper_solve(U, np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(xu, [0.5, 1.0])  # U[0,1] == 0.5 summed
 
-    def test_sparse_lower_upper_batched(self):
-        import scipy.sparse as sp
+    def test_zero_on_the_diagonal_needs_a_row_interchange(self, kernel):
+        """A tridiagonal matrix with zeros on its diagonal factors only with
+        row interchanges (the band kernel pivots too)."""
+        A = sp.diags(
+            [[1.0, 2.0, 1.0, 3.0, 1.0], [0.0, 1.0, 0.0, 2.0, 0.0, 1.0],
+             [2.0, 1.0, 3.0, 1.0, 2.0]],
+            offsets=(-1, 0, 1), format="csr",
+        )
+        b = np.arange(1.0, 7.0)
+        x = get_solver(kernel).solve(A, b)
+        assert_oracle(A, x, b, atol=1e-12)
 
-        rng = np.random.default_rng(10)
-        n, k = 14, 5
-        Ld = np.tril(rng.standard_normal((n, n)), -1)
-        Ld[np.abs(Ld) < 0.8] = 0.0
-        L = sp.csc_matrix(Ld + np.eye(n))
-        Ud = np.triu(rng.standard_normal((n, n)), 1)
-        Ud[np.abs(Ud) < 0.8] = 0.0
-        U = sp.csc_matrix(Ud + 2.0 * np.eye(n))
-        B = rng.standard_normal((n, k))
-        XL = sparse_lower_solve(L, B)
-        XL_loop = np.column_stack([sparse_lower_solve(L, B[:, j]) for j in range(k)])
-        np.testing.assert_array_equal(XL, XL_loop)
-        XU = sparse_upper_solve(U, B)
-        XU_loop = np.column_stack([sparse_upper_solve(U, B[:, j]) for j in range(k)])
-        np.testing.assert_array_equal(XU, XU_loop)
-        np.testing.assert_allclose(L @ XL, B, atol=1e-10)
-        np.testing.assert_allclose(U @ XU, B, atol=1e-10)
+    @pytest.mark.parametrize(
+        "dense",
+        [[[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0], [2.0, 0.0]], np.zeros((3, 3))],
+        ids=["numerically", "structurally", "zero"],
+    )
+    def test_exact_zero_pivot_raises(self, kernel, dense):
+        with pytest.raises(SingularMatrixError):
+            get_solver(kernel).factor(sp.csr_matrix(np.array(dense)))
+
+    def test_empty_and_non_square_rejected(self, kernel):
+        with pytest.raises(ValueError):
+            get_solver(kernel).factor(sp.csr_matrix((0, 0)))
+        with pytest.raises(ValueError):
+            get_solver(kernel).factor(sp.csr_matrix(np.ones((2, 3))))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 4), st.integers(0, 4), st.integers(0, 999))
+    def test_property_matches_numpy(self, kernel, n, kl, ku, seed):
+        A = banded_random(n, lower_bw=kl, upper_bw=ku, seed=seed)
+        b = np.random.default_rng(seed).random(n)
+        assert_oracle(A, get_solver(kernel).solve(A, b), b, atol=1e-8)
+
+
+def test_kernels_cross_validate():
+    A = cage_like(150, seed=5)
+    b = np.linspace(-1, 1, 150)
+    xs = [get_solver(kernel).solve(A, b) for kernel in KERNELS]
+    for x in xs[1:]:
+        np.testing.assert_allclose(x, xs[0], atol=1e-10)
 
 
 class TestBatchedDriver:

@@ -18,7 +18,7 @@ from repro.core import (
     uniform_bands,
 )
 from repro.core.sync import run_synchronous
-from repro.direct import get_solver
+from repro.direct import ScipySuperLU, get_solver
 from repro.grid import cluster1
 from repro.matrices import (
     MMFormatError,
@@ -43,7 +43,12 @@ class TestHeterogeneousKernels:
 
     def test_mixed_kernels_sequential(self):
         A, b, x_true = problem()
-        kernels = [get_solver(k) for k in ("dense", "sparse", "scipy", "banded")]
+        kernels = [
+            get_solver("dense"),
+            ScipySuperLU(permc_spec="COLAMD"),
+            ScipySuperLU(permc_spec="NATURAL"),
+            get_solver("banded"),
+        ]
         s = MultisplittingSolver(4, mode="sequential", direct_solver=kernels)
         r = s.solve(A, b)
         assert r.converged
@@ -52,7 +57,7 @@ class TestHeterogeneousKernels:
     def test_mixed_kernels_by_name(self):
         A, b, x_true = problem()
         s = MultisplittingSolver(
-            2, mode="sequential", direct_solver=["sparse", "scipy"]
+            2, mode="sequential", direct_solver=["banded", "scipy"]
         )
         r = s.solve(A, b)
         np.testing.assert_allclose(r.x, x_true, atol=1e-6)
@@ -61,7 +66,9 @@ class TestHeterogeneousKernels:
         A, b, x_true = problem(n=200)
         s = MultisplittingSolver(
             mode="synchronous",
-            direct_solver=["scipy", "sparse", "scipy", "dense"],
+            direct_solver=[
+                "scipy", ScipySuperLU(permc_spec="NATURAL"), "scipy", "dense"
+            ],
         )
         r = s.solve(A, b, cluster=cluster1(4))
         assert r.status == "ok"
@@ -75,7 +82,7 @@ class TestHeterogeneousKernels:
         hom = multisplitting_iterate(A, b, part, w, get_solver("scipy"))
         mixed = multisplitting_iterate(
             A, b, part, w,
-            [get_solver("dense"), get_solver("scipy"), get_solver("sparse")],
+            [get_solver("dense"), get_solver("scipy"), ScipySuperLU(permc_spec="COLAMD")],
         )
         assert hom.iterations == mixed.iterations
         np.testing.assert_allclose(hom.x, mixed.x, atol=1e-9)

@@ -309,7 +309,33 @@ class _HandicappedInline(InlineExecutor):
         return piece, total
 
 
+class _HandicappedThreads(ThreadExecutor):
+    """Thread executor whose slot ``l`` repeats each solve ``factor`` times."""
+
+    def __init__(self, factors):
+        super().__init__(max_workers=len(factors))
+        self.factors = factors
+
+    def _timed_solve(self, l, z):
+        worker = self._placement.assignment[l] if self._placement else l
+        total = 0.0
+        for _ in range(self.factors[worker]):
+            piece, dt = super()._timed_solve(l, z)
+            total += dt
+        return piece, total
+
+
 class TestCalibration:
+    def test_default_probe_ranks_threaded_workers(self):
+        """A probe solve too thin to outlast interpreter-lock hand-offs
+        measures the hand-offs, not the workers; the default probe does not."""
+        ex = _HandicappedThreads((1, 4, 16))
+        try:
+            speeds = measure_worker_speeds(ex, 3)
+        finally:
+            ex.close()
+        assert speeds[0] > speeds[1] > speeds[2]
+
     def test_measured_speeds_rank_workers(self):
         ex = _HandicappedInline((1, 12))
         try:
