@@ -135,6 +135,86 @@ class TestSolveMany:
         with pytest.raises(ValueError):
             get_solver(kernel).factor(sp.csr_matrix(np.ones((2, 3))))
 
+    def test_factor_leaves_the_matrix_untouched(self, kernel):
+        A = diagonally_dominant(20, dominance=1.5, bandwidth=3, seed=10)
+        dense = A.toarray()
+        kept_dense, kept_data = dense.copy(), A.data.copy()
+        get_solver(kernel).factor(dense)
+        get_solver(kernel).factor(A)
+        np.testing.assert_array_equal(dense, kept_dense)
+        np.testing.assert_array_equal(A.data, kept_data)
+
+    def test_solves_leave_the_right_hand_sides_untouched(self, kernel):
+        A = diagonally_dominant(20, dominance=1.5, bandwidth=3, seed=11)
+        fact = get_solver(kernel).factor(A)
+        B = rhs_batch(20, 3, seed=12)
+        b = B[:, 0].copy()
+        kept_b, kept_B = b.copy(), B.copy()
+        fact.solve(b)
+        fact.solve_many(B)
+        np.testing.assert_array_equal(b, kept_b)
+        np.testing.assert_array_equal(B, kept_B)
+
+    def test_integer_entries_are_promoted(self, kernel):
+        A = np.array([[4, 1, 0], [1, 4, 1], [0, 1, 4]])
+        b = np.array([1, 2, 3])
+        assert_oracle(A, get_solver(kernel).solve(sp.csr_matrix(A), b), b, atol=1e-14)
+        assert_oracle(A, get_solver(kernel).solve(A, b), b, atol=1e-14)
+
+    def test_one_by_one(self, kernel):
+        fact = get_solver(kernel).factor(sp.csr_matrix([[4.0]]))
+        np.testing.assert_allclose(fact.solve(np.array([2.0])), [0.5])
+        np.testing.assert_allclose(fact.solve_many(np.array([[2.0, -8.0]])), [[0.5, -2.0]])
+
+    def test_stats_describe_the_factor(self, kernel):
+        A = diagonally_dominant(25, dominance=1.5, bandwidth=3, seed=16)
+        assert np.all(A.data != 0)
+        stats = get_solver(kernel).factor(A).stats
+        assert stats.n == 25
+        assert stats.factor_flops > 0 and stats.solve_flops > 0
+        assert stats.memory_bytes > 0
+        assert stats.nnz_factors >= A.nnz
+        assert stats.fill_ratio == pytest.approx(stats.nnz_factors / A.nnz)
+
+    def test_strided_right_hand_sides(self, kernel):
+        A = diagonally_dominant(30, dominance=1.5, bandwidth=4, seed=13)
+        fact = get_solver(kernel).factor(A)
+        B = rhs_batch(30, 6, seed=14)
+        assert_oracle(A, fact.solve(B[:, 1]), B[:, 1])
+        assert_oracle(A, fact.solve_many(B[:, ::2]), B[:, ::2])
+        assert_oracle(A, fact.solve_many(np.asfortranarray(B)), B)
+
+    def test_a_tiny_pivot_is_interchanged(self, kernel):
+        """Eliminating on a 1e-20 pivot would lose every digit of ``x``."""
+        A = sp.csr_matrix(np.array([[1e-20, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 3.0]]))
+        b = np.array([1.0, 3.0, 4.0])
+        x = get_solver(kernel).solve(A, b)
+        np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-12)
+
+    def test_duplicate_entries_are_summed(self, kernel):
+        rows = np.array([0, 0, 1, 1, 1, 2, 2])
+        cols = np.array([0, 1, 0, 1, 1, 2, 2])
+        data = np.array([2.0, 1.0, 1.0, 3.0, 1.0, 2.0, 2.0])
+        A = sp.coo_matrix((data, (rows, cols)), shape=(3, 3))
+        b = np.ones(3)
+        assert_oracle(A, get_solver(kernel).solve(A, b), b, atol=1e-14)
+        csr = sp.csr_matrix((data, cols, [0, 2, 5, 7]), shape=(3, 3))
+        assert not csr.has_canonical_format
+        assert_oracle(A, get_solver(kernel).solve(csr, b), b, atol=1e-14)
+
+    def test_one_factor_solves_on_several_threads(self, kernel):
+        """The executors' pool threads share a block's factor."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        A = cage_like(150, seed=6)
+        fact = get_solver(kernel).factor(A)
+        B = rhs_batch(150, 8, seed=15)
+        serial = [fact.solve(B[:, j]) for j in range(8)]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(fact.solve, B.T))
+        for x, y in zip(serial, threaded):
+            np.testing.assert_array_equal(x, y)
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(1, 40), st.integers(0, 4), st.integers(0, 4), st.integers(0, 999))
     def test_property_matches_numpy(self, kernel, n, kl, ku, seed):

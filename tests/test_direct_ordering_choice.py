@@ -125,6 +125,39 @@ class TestDominantBandsPivotOnTheDiagonal:
         np.testing.assert_array_equal(got.perm_r, want.perm_r)
 
 
+class TestExplicitOrderings:
+    @pytest.mark.parametrize("permc_spec", ["COLAMD", "MMD_AT_PLUS_A", "MMD_ATA", "NATURAL"])
+    def test_each_solves_a_non_dominant_band(self, permc_spec):
+        A = needs_row_interchanges(80, seed=2)
+        b = np.linspace(-1.0, 1.0, 80)
+        x = ScipySuperLU(permc_spec=permc_spec).solve(A, b)
+        np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b), atol=1e-10)
+
+    def test_the_registry_passes_the_ordering_on(self):
+        solver = get_solver("scipy", permc_spec="NATURAL")
+        assert isinstance(solver, ScipySuperLU)
+        assert solver.permc_spec == "NATURAL"
+
+    def test_an_unknown_ordering_is_rejected(self):
+        with pytest.raises(ValueError):
+            ScipySuperLU(permc_spec="AMD").factor(poisson_2d(3))
+
+    def test_the_default_orders_an_arrow_without_fill(self):
+        """An arrow pointing the wrong way (dense first row and column)
+        fills every entry under the natural order; the default's symmetric
+        ordering puts the dense row and column last."""
+        n = 40
+        A = sp.lil_matrix((n, n))
+        A[0, :] = 1.0
+        A[:, 0] = 1.0
+        A.setdiag(n * 1.0)
+        A = A.tocsc()
+        natural = ScipySuperLU(permc_spec="NATURAL").factor(A).stats.nnz_factors
+        default = get_solver("scipy").factor(A).stats.nnz_factors
+        assert natural == n * n + n
+        assert default <= 4 * n
+
+
 class TestANonDominantBandIsPivoted:
     def test_solves_at_rounding_level(self):
         A = needs_row_interchanges()

@@ -87,6 +87,16 @@ class TestHeterogeneousKernels:
         assert hom.iterations == mixed.iterations
         np.testing.assert_allclose(hom.x, mixed.x, atol=1e-9)
 
+    @pytest.mark.parametrize("kernel", ["dense", "banded", "scipy"])
+    @pytest.mark.parametrize("mode", ["sequential", "synchronous", "asynchronous"])
+    def test_each_kernel_in_each_mode(self, kernel, mode):
+        """The simulated modes also read each adapter's cost statistics."""
+        A, b, x_true = problem()
+        s = MultisplittingSolver(4, mode=mode, direct_solver=kernel)
+        r = s.solve(A, b) if mode == "sequential" else s.solve(A, b, cluster=cluster1(4))
+        assert r.converged
+        np.testing.assert_allclose(r.x, x_true, atol=1e-6)
+
     def test_wrong_count_rejected(self):
         A, b, _ = problem()
         s = MultisplittingSolver(

@@ -15,6 +15,8 @@ Covers the tentpole invariants:
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -310,10 +312,15 @@ class _HandicappedInline(InlineExecutor):
 
 
 class _HandicappedThreads(ThreadExecutor):
-    """Thread executor whose slot ``l`` repeats each solve ``factor`` times."""
+    """Thread executor whose slot ``l`` repeats each solve ``factor`` times.
+
+    The pool is no wider than the host: a thread more than there are
+    cores is preempted for whole scheduler slices, milliseconds that
+    land on whichever probe solve it was running.
+    """
 
     def __init__(self, factors):
-        super().__init__(max_workers=len(factors))
+        super().__init__(max_workers=min(len(factors), os.cpu_count() or 1))
         self.factors = factors
 
     def _timed_solve(self, l, z):
