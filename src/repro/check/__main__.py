@@ -10,8 +10,8 @@ timeout.
 
 Options::
 
-    python -m repro.check                  # full campaign
-    python -m repro.check seqlock wire.pipes # just these models
+    python -m repro.check                               # full campaign
+    python -m repro.check elastic.migration wire.pipes  # just these models
     python -m repro.check --seed 7 --walks 500
 """
 

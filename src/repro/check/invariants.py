@@ -26,9 +26,7 @@ __all__ = [
     "holds",
     "no_double_fold",
     "no_orphans",
-    "no_torn_value",
     "single_owner",
-    "versions_monotone",
 ]
 
 
@@ -83,29 +81,4 @@ def no_double_fold(folds: Sequence[int]) -> str | None:
         if l in seen:
             return f"block {l} folded twice in one round"
         seen.add(l)
-    return None
-
-
-def no_torn_value(
-    value: Sequence[int],
-    published: Iterable[Sequence[int]],
-) -> str | None:
-    """A completed read observes some atomically-published snapshot.
-
-    ``value`` is the tuple a reader returned; ``published`` the set of
-    values a writer ever published (including the initial one).  A torn
-    read -- half old vector, half new -- is exactly the *invented piece*
-    the paper's asynchronous convergence proof does not tolerate.
-    """
-    pub = {tuple(p) for p in published}
-    if tuple(value) not in pub:
-        return f"torn read: {tuple(value)} not among published {sorted(pub)}"
-    return None
-
-
-def versions_monotone(versions: Sequence[int]) -> str | None:
-    """Successive version observations never decrease (seqlock clock)."""
-    for a, b in zip(versions, versions[1:]):
-        if b < a:
-            return f"version went backwards: {a} -> {b}"
     return None

@@ -10,8 +10,6 @@ Each module ports one runtime protocol to explicit-trap coroutines:
 * :mod:`repro.check.models.recovery` -- the ``FaultPolicy`` state
   machine: deadline detection, re-homing/adoption, re-dispatch, and the
   requeue-vs-reply and double-adoption races;
-* :mod:`repro.check.models.seqlock` -- ``VersionedVector``'s seqlock
-  protocol: torn reads, version monotonicity, reader/writer progress;
 * :mod:`repro.check.models.elastic` -- the elastic membership protocol:
   grow/shrink migration must land on a quiescent round boundary, since
   it moves ownership *without* bumping the epoch (mid-round adoption
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 from repro.check.models.elastic import ElasticModel
 from repro.check.models.recovery import ReadoptionModel, RecoveryModel
-from repro.check.models.seqlock import SeqlockModel
 from repro.check.models.wire import PipeReplyModel, SharedQueueModel
 
 __all__ = [
@@ -37,7 +34,6 @@ __all__ = [
     "PipeReplyModel",
     "ReadoptionModel",
     "RecoveryModel",
-    "SeqlockModel",
     "SharedQueueModel",
 ]
 
@@ -48,12 +44,11 @@ __all__ = [
 #:
 #: Budgets are tuned from measured schedule-tree sizes: ``wire.pipes``
 #: (157,812 schedules) and ``recovery.late-reply`` (145,503) are small
-#: enough to settle *conclusively* (``exhausted=True``); the seqlock
-#: and readoption trees run past 400k schedules, so those get a
-#: bounded DFS plus seeded walks.  Fixture budgets are just enough to
-#: reproduce with margin: the shared-queue deadlock and the torn read
-#: need the walks (bounded DFS explores thread-order-biased corners
-#: first).
+#: enough to settle *conclusively* (``exhausted=True``); the
+#: readoption tree runs past 400k schedules, so it gets a bounded DFS
+#: plus seeded walks.  Fixture budgets are just enough to reproduce
+#: with margin: the shared-queue deadlock needs the walks (bounded DFS
+#: explores thread-order-biased corners first).
 REGISTRY: dict[str, tuple] = {
     # -- current protocols: must be violation-free -------------------
     "wire.pipes": (
@@ -68,11 +63,6 @@ REGISTRY: dict[str, tuple] = {
     ),
     "recovery.readoption": (
         lambda: ReadoptionModel(),
-        False,
-        {"max_runs": 20_000, "walks": 300},
-    ),
-    "seqlock": (
-        lambda: SeqlockModel(),
         False,
         {"max_runs": 20_000, "walks": 300},
     ),
@@ -104,11 +94,6 @@ REGISTRY: dict[str, tuple] = {
     ),
     "recovery.stale-assignment": (
         lambda: ReadoptionModel(track_adoptions=False),
-        True,
-        {"max_runs": 1_000, "walks": 200},
-    ),
-    "seqlock.no-recheck": (
-        lambda: SeqlockModel(recheck=False),
         True,
         {"max_runs": 1_000, "walks": 200},
     ),

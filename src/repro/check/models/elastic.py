@@ -2,12 +2,16 @@
 
 :class:`ElasticModel` checks the one rule the elastic re-planner's
 safety rests on: **migration happens only at a quiescent round
-boundary**.  The synchronous drivers count exactly one reply per block
-per round (``_collect("piece", L)``), and a membership change (a grown
-worker joining, or a shrink re-homing a retiree's blocks -- the adopt
-mechanics are identical) re-assigns blocks *without bumping the epoch*;
-stragglers therefore cannot be filtered by ticket, and correctness
-comes purely from the in-flight set being empty when ownership moves.
+boundary**.  A fleet worker answers each round's ``solve`` frame with
+one ``("done", epoch, blocks, seconds[, pieces])`` reply covering every
+block it owns (the verb table in :mod:`repro.runtime.fleet`).  This
+model still counts one reply per block per round -- the per-worker
+batch is not modelled yet; that comes when the models are ported onto
+the shipped transport.  A membership change (a grown worker joining,
+or a shrink re-homing a retiree's blocks -- the adopt mechanics are
+identical) re-assigns blocks *without bumping the epoch*; stragglers
+therefore cannot be filtered by ticket, and correctness comes purely
+from the in-flight set being empty when ownership moves.
 
 The model runs a 2-block fleet for two counted rounds while a third
 worker joins at a nondeterministic moment.  The clean protocol notices

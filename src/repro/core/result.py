@@ -1,8 +1,7 @@
 """The one result record every driver and the facade return.
 
 In-process drivers (:func:`~repro.core.sequential.multisplitting_iterate`,
-:func:`~repro.core.sequential.chaotic_iterate`,
-:func:`~repro.runtime.async_iterate`), the simulated pair
+:func:`~repro.core.sequential.chaotic_iterate`), the simulated pair
 (:func:`~repro.core.sync.run_synchronous`,
 :func:`~repro.core.asynchronous.run_asynchronous`) and
 :class:`~repro.core.solver.MultisplittingSolver` all hand back a
@@ -72,9 +71,8 @@ class SolveResult:
         time); ``None`` in-process and for "nem" outcomes.
     history:
         Per-round monitor values (diff max-norms or residuals, per the
-        stopping metric; the sampled residuals for
-        :func:`~repro.runtime.async_iterate`).  Empty for the simulated
-        modes, whose monitors are per-rank.
+        stopping metric).  Empty for the simulated modes, whose monitors
+        are per-rank.
     cache_stats:
         Factorization-cache counters attributable to this run (``None``
         when no cache was supplied).

@@ -191,9 +191,9 @@ def chaotic_iterate(
 
     ``executor`` parallelises each step's *selected* block solves (the
     seeded schedule itself stays in the driver, so the emulation remains
-    deterministic for a given seed on every backend).  For scheduling-
-    driven rather than seeded asynchrony, see
-    :func:`repro.runtime.async_iterate`.
+    deterministic for a given seed on every backend).  The grid
+    simulator's :func:`repro.core.asynchronous.run_asynchronous` is the
+    timed counterpart, where asynchrony hides communication latency.
 
     ``elastic`` arms the same per-step elastic re-planning loop as
     :func:`multisplitting_iterate`: each global step is a quiescent

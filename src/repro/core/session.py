@@ -3,8 +3,8 @@
 The paper's Algorithm 1 is one iteration body -- solve ``A[J_l, J_l]``
 against the local copy, exchange ``XSub``, recombine with the weighting
 family -- run under different *schedules* (barrier, bounded-delay
-chaotic, free-running threads).  A :class:`RunSession` is
-the part that does not depend on the schedule:
+chaotic).  A :class:`RunSession` is the part that does not depend on
+the schedule:
 
 * the binding -- resolve the executor and the tracer, validate ``x0``
   *before* any side effect, install the tracer, ``attach``, build the
@@ -254,30 +254,26 @@ class RunSession:
         norm_A = float(np.max(np.asarray(row_sums))) if self.partition.n else 0.0
         return self.stopping.tolerance * max(1.0, norm_A)
 
-    def result(self, converged: bool, **fields) -> SolveResult:
+    def result(self, converged: bool) -> SolveResult:
         """Assemble the run's :class:`SolveResult` (call while attached).
 
-        ``fields`` override or add to what the session knows -- the
-        monitor's last iterate and count, and the executor's counters.
+        Reports what the session measured: the monitor's last iterate,
+        count and history, and the executor's counters.
         """
         ex, plan = self.ex, self._placement
-        fields = {
-            "x": self.x,
-            "iterations": self.iterations,
-            "cache_stats": ex.run_cache_stats(),
-            "fault_stats": ex.fault_stats(),
-            "backend": ex.name,
-            "block_seconds": ex.block_seconds(),
-            "wire": ex.wire_stats(),
-            **fields,
-        }
         return SolveResult(
+            x=self.x,
             converged=converged,
             status=STATUS_OK if converged else STATUS_MAXITER,
-            residual=residual_norm(self.A, fields["x"], self.b),
+            iterations=self.iterations,
+            residual=residual_norm(self.A, self.x, self.b),
             nprocs=self.nblocks,
             history=self.history,
+            cache_stats=ex.run_cache_stats(),
+            fault_stats=ex.fault_stats(),
+            backend=ex.name,
+            block_seconds=ex.block_seconds(),
+            wire=ex.wire_stats(),
             placement=plan.summary() if plan is not None else None,
             trace=self.tracer,
-            **fields,
         )

@@ -3,7 +3,7 @@
 The rest of the package describes *what* the multisplitting method
 computes (``repro.core``) and *how a grid would price it*
 (``repro.grid``); this subsystem is where sub-block solves actually
-execute.  Three interchangeable backends implement the
+execute.  Four interchangeable backends implement the
 :class:`Executor` contract:
 
 ======================  =============================================
@@ -25,15 +25,15 @@ execute.  Three interchangeable backends implement the
 Select one by name (:func:`get_executor`), through the
 ``backend=`` option of :class:`repro.core.solver.MultisplittingSolver`,
 or by passing an instance to the ``executor=`` parameter of the core
-drivers.  :func:`async_iterate` additionally provides a *genuinely*
-asynchronous driver: free-running block threads over
-:class:`VersionedVector` seqlock slots.
+drivers.  The asynchronous mode runs over any of them as
+:func:`repro.core.sequential.chaotic_iterate` (seeded bounded delays,
+deterministic on every backend); the grid simulator prices it as
+:func:`repro.core.asynchronous.run_asynchronous`.
 """
 
 from __future__ import annotations
 
 from repro.runtime.api import Executor
-from repro.runtime.asynchronous import async_iterate
 from repro.runtime.inline import InlineExecutor
 from repro.runtime.processes import ProcessExecutor
 from repro.runtime.resilience import (
@@ -46,7 +46,6 @@ from repro.runtime.resilience import (
     StallOnceSolver,
     StragglerSolver,
 )
-from repro.runtime.seqlock import VersionedVector
 from repro.runtime.shm import SharedVectorPlane
 from repro.runtime.sockets import SocketExecutor, serve_worker
 from repro.runtime.threads import ThreadExecutor
@@ -69,10 +68,8 @@ __all__ = [
     "StallOnceSolver",
     "StragglerSolver",
     "ThreadExecutor",
-    "VersionedVector",
     "recv_frame",
     "send_frame",
-    "async_iterate",
     "available_backends",
     "get_executor",
     "serve_worker",

@@ -237,23 +237,28 @@ def serve(chan, cache, *, crash_after: int | None = None) -> bool:
                         bytes=sum(int(z.nbytes) for z in zs), blocks=list(blocks),
                     )
                 pieces, seconds = [], []
-                for i, l in enumerate(blocks):
-                    scratch[halos[l]] = zs[i]
-                    t0 = time.perf_counter()
-                    piece = np.asarray(systems[l].solve_with(scratch), dtype=float)
-                    dt = time.perf_counter() - t0
-                    if tracer is not None:
-                        tracer.add("solve", "compute", t0, dt, lane=lane, block=l)
-                    pieces.append(piece)
-                    seconds.append(dt)
-                    solves += 1
-                    if crash_after is not None and solves >= crash_after:
-                        # Simulate a mid-run node failure: no goodbye frame,
-                        # no cleanup -- the driver sees a broken stream.
-                        os._exit(1)
-                # Drop the halos before replying: they may be live views
-                # of a transport buffer the driver is about to reclaim.
-                del zs
+                try:
+                    for i, l in enumerate(blocks):
+                        scratch[halos[l]] = zs[i]
+                        t0 = time.perf_counter()
+                        piece = np.asarray(systems[l].solve_with(scratch), dtype=float)
+                        dt = time.perf_counter() - t0
+                        if tracer is not None:
+                            tracer.add("solve", "compute", t0, dt, lane=lane, block=l)
+                        pieces.append(piece)
+                        seconds.append(dt)
+                        solves += 1
+                        if crash_after is not None and solves >= crash_after:
+                            # Simulate a mid-run node failure: no goodbye
+                            # frame, no cleanup -- the driver sees a broken
+                            # stream.
+                            os._exit(1)
+                finally:
+                    # Drop the halos before replying, and before an error
+                    # frame too: they may be live views of a transport
+                    # buffer the driver is about to reclaim, and a plane
+                    # with a live view cannot be unmapped at detach.
+                    del zs
                 info = chan.send_done(epoch, blocks, pieces, seconds)
                 if tracer is not None:
                     if info is not None:

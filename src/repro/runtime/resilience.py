@@ -35,9 +35,8 @@ subsystem:
   contract boundary, so one conformance suite exercises all four
   backends with identical expected counters.
 * :class:`FlakySolver` -- a kernel wrapper that fails scheduled solves,
-  for injecting faults below the executor layer (used to exercise the
-  free-running :func:`~repro.runtime.async_iterate` driver's thread
-  respawn).
+  for injecting faults below the executor layer (a kernel error on a
+  fleet worker, the error seams of the drivers and the gateway).
 
 Determinism: a seeded injector replayed against the same binding
 produces the same fault schedule, hence the same ``workers_lost`` /
@@ -85,8 +84,7 @@ class FaultStats:
     ----------
     workers_lost:
         Workers declared dead (crashed, hung past the deadline, or
-        injected).  For :func:`~repro.runtime.async_iterate` this counts
-        block threads that died and were respawned.
+        injected).
     blocks_requeued:
         Block ownerships reassigned because their worker was lost.  This
         counts *reassignments*, not retried messages, so it is
@@ -709,12 +707,12 @@ class FlakySolver(DirectSolver):
     """Wrap a kernel so chosen solve calls raise :class:`InjectedFault`.
 
     Injects faults *below* the executor layer -- where a numerical
-    library segfault or an OOM kill would strike -- which is how the
-    free-running :func:`~repro.runtime.async_iterate` driver's
-    per-thread respawn is exercised.  ``fail_solves`` names the 1-based
-    global solve-call numbers that fail (counted across all factors of
-    this wrapper, under a lock); ``fail_rate`` adds seeded random
-    failures; ``max_failures`` bounds the total so a run always
+    library error would strike -- which is how a kernel fault on a fleet
+    worker (one error frame, never a worker loss) and the error seams of
+    the drivers and the gateway are exercised.  ``fail_solves`` names
+    the 1-based global solve-call numbers that fail (counted across all
+    factors of this wrapper, under a lock); ``fail_rate`` adds seeded
+    random failures; ``max_failures`` bounds the total so a run always
     eventually succeeds.
     """
 

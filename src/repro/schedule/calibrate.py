@@ -34,6 +34,10 @@ from repro.schedule.plan import Placement, WorkerSlot, cost_model_placement
 
 __all__ = ["measure_worker_speeds", "calibrated_placement"]
 
+#: A probe round slower than this multiple of its worker's median round
+#: is an outlier and left out of the worker's mean.
+_OUTLIER_FACTOR = 4.0
+
 
 def _probe_system(nworkers: int, probe_size: int):
     """A block-tridiagonal, diagonally dominant probe: identical work per band."""
@@ -55,7 +59,6 @@ def measure_worker_speeds(
     *,
     probe_size: int = 1024,
     repeats: int = 5,
-    outlier_factor: float = 4.0,
 ) -> list[float]:
     """Measure relative worker speeds with an identity-pinned probe.
 
@@ -67,7 +70,7 @@ def measure_worker_speeds(
     Robustness: each of the ``repeats`` rounds is timed *individually*
     (per-worker deltas of ``block_seconds``), and a worker's estimate is
     the mean of its rounds after an outlier guard -- rounds slower than
-    ``outlier_factor`` times the worker's median round are discarded.
+    four times the worker's median round are discarded.
     One round poisoned by a transient (a cron job, a page-cache stall, a
     CPU-frequency excursion on a loaded grid host) therefore cannot bend
     the plan: the median is untouched by a single outlier, and the guard
@@ -89,8 +92,6 @@ def measure_worker_speeds(
         raise ValueError("probe_size must be at least 2")
     if repeats < 1:
         raise ValueError("repeats must be positive")
-    if outlier_factor <= 1.0:
-        raise ValueError("outlier_factor must exceed 1.0")
     A, b, sets = _probe_system(nworkers, probe_size)
     plan = Placement(
         strategy="probe",
@@ -130,7 +131,7 @@ def measure_worker_speeds(
         # NaN is False, so the guard below would discard *all* samples.
         finite = [s for s in rounds if np.isfinite(s)]
         med = float(np.median(finite)) if finite else 1e-9
-        kept = [s for s in finite if s <= outlier_factor * med]
+        kept = [s for s in finite if s <= _OUTLIER_FACTOR * med]
         if not kept:
             # The guard discarded everything (single poisoned round,
             # no finite samples at all): fall back to the raw median

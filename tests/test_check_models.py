@@ -22,9 +22,7 @@ from repro.check import explore, explore_exhaustive, explore_random
 from repro.check.invariants import (
     no_double_fold,
     no_orphans,
-    no_torn_value,
     single_owner,
-    versions_monotone,
 )
 from repro.check.models import (
     REGISTRY,
@@ -32,7 +30,6 @@ from repro.check.models import (
     PipeReplyModel,
     ReadoptionModel,
     RecoveryModel,
-    SeqlockModel,
     SharedQueueModel,
 )
 
@@ -52,9 +49,9 @@ class TestRegistryShape:
             assert set(budget) <= {"max_runs", "walks"}
 
     def test_current_protocols_and_fixtures_counted(self):
-        # Five shipped protocols' models, seven known-bug fixtures.
-        assert len(_CLEAN) == 5
-        assert len(_FIXTURES) == 7
+        # Four shipped protocols' models, six known-bug fixtures.
+        assert len(_CLEAN) == 4
+        assert len(_FIXTURES) == 6
 
     def test_fresh_state_per_factory_call(self):
         for name, (factory, _, _) in REGISTRY.items():
@@ -128,14 +125,6 @@ class TestFixturesStillBite:
         assert res.violation.kind == "invariant"
         assert res.violation.detail == "no-orphans-at-quiescence"
 
-    def test_seqlock_without_recheck_tears(self):
-        res = explore_random(
-            lambda: SeqlockModel(recheck=False), seed=0, walks=100
-        )
-        assert res.violation is not None
-        assert res.violation.kind == "invariant"
-        assert res.violation.detail == "no-torn-read"
-
     def test_mid_round_migration_violates_single_owner(self):
         # Elastic migration applied the moment a membership change is
         # noticed -- instead of at the quiescent round boundary -- hands
@@ -190,14 +179,3 @@ class TestInvariantPredicates:
         assert no_double_fold([0, 1, 2]) is None
         msg = no_double_fold([0, 1, 0])
         assert msg is not None and "folded twice" in msg
-
-    def test_no_torn_value(self):
-        pub = [(0, 0), (1, 1)]
-        assert no_torn_value((1, 1), pub) is None
-        msg = no_torn_value((0, 1), pub)
-        assert msg is not None and "torn read" in msg
-
-    def test_versions_monotone(self):
-        assert versions_monotone([1, 1, 2, 4]) is None
-        msg = versions_monotone([2, 1])
-        assert msg is not None and "backwards" in msg

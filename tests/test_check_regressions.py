@@ -69,15 +69,6 @@ COUNTEREXAMPLES = [
         "invariant",
         "no-orphans-at-quiescence",
     ),
-    # Seqlock reader skipping the version re-check returns a half-old,
-    # half-new vector -- the "invented piece" the paper's asynchronous
-    # convergence proof does not tolerate.
-    (
-        "seqlock.no-recheck",
-        [0, 0, 2, 1, 0, 2, 0, 0, 2, 2, 1, 2],
-        "invariant",
-        "no-torn-read",
-    ),
 ]
 
 
@@ -109,7 +100,6 @@ def test_traces_do_not_trip_current_protocols():
         "wire.stale-epoch": "wire.pipes",
         "recovery.unfiltered-reply": "recovery.late-reply",
         "recovery.stale-assignment": "recovery.readoption",
-        "seqlock.no-recheck": "seqlock",
     }
     for name, trace, _, _ in COUNTEREXAMPLES:
         factory, _, _ = REGISTRY[current[name]]

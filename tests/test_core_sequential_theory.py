@@ -19,6 +19,7 @@ from repro.core import (
     splitting_matrices,
     uniform_bands,
 )
+from repro.core.partition import interleaved_partition, permuted_bands
 from repro.direct import get_solver
 from repro.linalg import spectral_radius
 from repro.matrices import (
@@ -28,9 +29,47 @@ from repro.matrices import (
     poisson_2d,
     rhs_for_solution,
 )
+from repro.runtime import FlakySolver, get_executor
+from repro.runtime.resilience import InjectedFault
 
 DENSE = get_solver("dense")
 SCIPY = get_solver("scipy")
+
+#: Every executor, kept small; one of each serves the whole module.
+_EXECUTORS = {
+    "inline": {},
+    "threads": {"max_workers": 2},
+    "processes": {"max_workers": 2},
+    "sockets": {"workers": 2},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_EXECUTORS))
+def executor(request):
+    with get_executor(request.param, **_EXECUTORS[request.param]) as ex:
+        yield ex
+
+
+def _shaped(kind, n=96, L=4, seed=5):
+    """A problem over a band, interleaved or permuted partition."""
+    A = diagonally_dominant(n, dominance=1.5, bandwidth=4, seed=seed)
+    b, x_true = rhs_for_solution(A, seed=seed + 1)
+    if kind == "band":
+        part = uniform_bands(n, L).to_general()
+        scheme = make_weighting("ownership", part)
+    elif kind == "interleaved":
+        part = interleaved_partition(n, L, chunk=5)
+        scheme = make_weighting("ownership", part)
+    else:  # permuted, overlapping: components with several owners
+        part = permuted_bands(np.random.default_rng(seed).permutation(n), L, overlap=3)
+        scheme = make_weighting("averaging", part)
+    return A, b, x_true, part, scheme
+
+
+def _sound(A, residual, tol=1e-8):
+    """The chaotic stop's guarantee: ``||b - A x|| <= tol * max(1, ||A||_inf)``."""
+    norm_A = float(np.max(np.abs(A).sum(axis=1)))
+    return residual <= tol * max(1.0, norm_A)
 
 
 def setup(n=60, L=3, dominance=1.5, overlap=0, weighting="ownership", seed=1):
@@ -154,6 +193,80 @@ class TestChaoticIteration:
             chaotic_iterate(A, b, part, scheme, SCIPY, update_probability=0.0)
         with pytest.raises(ValueError):
             chaotic_iterate(A, b, part, scheme, SCIPY, max_delay=-1)
+
+    @pytest.mark.parametrize("kind", ["interleaved", "permuted"])
+    def test_sound_stop_on_general_partitions(self, executor, kind):
+        """A reported stop is verified against the true residual, on
+        index sets that are not runs of consecutive rows too."""
+        A, b, x_true, part, scheme = _shaped(kind)
+        res = chaotic_iterate(A, b, part, scheme, SCIPY, seed=4, executor=executor)
+        assert res.converged
+        assert _sound(A, res.residual)
+        assert res.residual == pytest.approx(float(np.max(np.abs(b - A @ res.x))))
+        np.testing.assert_allclose(res.x, x_true, atol=1e-6)
+
+    def test_warm_start_from_converged_x0_stops_quickly(self, executor):
+        A, b, _, part, scheme = _shaped("band")
+        cold = chaotic_iterate(A, b, part, scheme, SCIPY, seed=3, executor=executor)
+        warm = chaotic_iterate(
+            A, b, part, scheme, SCIPY, seed=3, x0=cold.x, executor=executor
+        )
+        assert cold.converged and warm.converged
+        assert warm.iterations <= 10 < cold.iterations
+        assert _sound(A, warm.residual)
+        np.testing.assert_allclose(warm.x, cold.x, atol=1e-8)
+
+    def test_unreachable_tolerance_runs_the_whole_budget(self, executor):
+        A, b, _, part, scheme = _shaped("band")
+        stopping = StoppingCriterion(tolerance=1e-300, max_iterations=50)
+        res = chaotic_iterate(
+            A, b, part, scheme, SCIPY, stopping=stopping, executor=executor
+        )
+        assert not res.converged
+        assert res.status == "max-iterations"
+        assert res.iterations == 50
+        assert len(res.history) == 50
+        # It did the work all the same.
+        assert res.residual < 1e-4 * float(np.max(np.abs(b)))
+
+    def test_batched_rhs_solves_every_column(self, executor):
+        A, b, _, part, scheme = _shaped("band")
+        cols = [rhs_for_solution(A, seed=s) for s in (11, 12, 13)]
+        B = np.stack([c for c, _ in cols], axis=1)
+        res = chaotic_iterate(A, B, part, scheme, SCIPY, seed=2, executor=executor)
+        assert res.converged
+        assert res.x.shape == B.shape
+        for j, (b_j, x_j) in enumerate(cols):
+            r_j = float(np.max(np.abs(b_j - A @ res.x[:, j])))
+            assert _sound(A, r_j), j
+            np.testing.assert_allclose(res.x[:, j], x_j, atol=1e-6)
+
+    def test_kernel_fault_without_policy_raises(self, executor):
+        """No ``fault_policy``: a kernel fault ends the run with the
+        fault -- in-process as itself, from a fleet worker as its error
+        frame, which names it."""
+        A, b, _, part, scheme = _shaped("band")
+        flaky = FlakySolver(SCIPY, fail_solves=(1,))
+        with pytest.raises(RuntimeError) as err:
+            chaotic_iterate(A, b, part, scheme, flaky, executor=executor)
+        if executor.name in ("inline", "threads"):
+            assert isinstance(err.value, InjectedFault)
+        else:
+            assert "InjectedFault" in str(err.value)
+
+    def test_same_seed_same_run(self, executor):
+        """The schedule is the seed's: a rerun is bit-identical, and
+        another seed is a different run."""
+        A, b, _, part, scheme = _shaped("permuted")
+        runs = [
+            chaotic_iterate(A, b, part, scheme, SCIPY, seed=s, executor=executor)
+            for s in (7, 7, 8)
+        ]
+        first, again, other = runs
+        np.testing.assert_array_equal(first.x, again.x)
+        assert first.history == again.history
+        assert first.iterations == again.iterations
+        assert first.history != other.history
 
 
 class TestSplittingsAndTheorem1:

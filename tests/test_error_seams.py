@@ -97,6 +97,31 @@ class TestKernelErrorsPropagate:
         finally:
             ex.close()
 
+    def test_process_kernel_error_leaves_a_clean_detach(self):
+        """The failed batch's halo views go with its error frame, so
+        detach unmaps the shared planes and the fleet binds again.
+        (Regression: the views outlived the error, detach answered a
+        ``BufferError``, and a driver's run reported that in place of
+        the kernel's own error.)"""
+        A, b, part, scheme = _problem()
+        ex = ProcessExecutor(max_workers=2)
+        try:
+            ex.attach(A, b, part.sets, self._flaky())
+            z = np.zeros(b.shape)
+            with pytest.raises(RuntimeError, match="InjectedFault"):
+                ex.solve_round([z] * part.nprocs)
+            ex.detach()
+            with pytest.raises(RuntimeError, match="InjectedFault"):
+                multisplitting_iterate(
+                    A, b, part, scheme, self._flaky(), executor=ex
+                )
+            res = multisplitting_iterate(
+                A, b, part, scheme, get_solver("scipy"), executor=ex
+            )
+            assert res.converged
+        finally:
+            ex.close()
+
 
 class TestSendPathDeath:
     """A stream that breaks on the *send* side is a worker death like

@@ -360,13 +360,12 @@ class TestTracingIsObservational:
         assert counts.get("round") == 12
         assert counts.get("solve", 0) >= 12 * 4  # every block, every round
 
-    @pytest.mark.parametrize("driver", ["barrier", "chaotic", "async"])
+    @pytest.mark.parametrize("driver", ["barrier", "chaotic"])
     def test_rejected_call_leaves_no_tracer_installed(self, driver):
         """A call refused on its arguments must not leave its tracer on
         the caller's executor or shared cache (later untraced runs would
         keep feeding it)."""
         from repro.core import chaotic_iterate
-        from repro.runtime import async_iterate
 
         A, b, part, scheme = _problem()
         cache = FactorizationCache()
@@ -375,10 +374,8 @@ class TestTracingIsObservational:
         with get_executor("inline") as ex, pytest.raises(ValueError, match="x0"):
             if driver == "barrier":
                 multisplitting_iterate(*args, executor=ex, **bad)
-            elif driver == "chaotic":
-                chaotic_iterate(*args, executor=ex, **bad)
             else:
-                async_iterate(*args, **bad)
+                chaotic_iterate(*args, executor=ex, **bad)
         assert ex.tracer is None
         assert cache._tracer is None
         assert cache.stats.misses == 0  # refused before any side effect

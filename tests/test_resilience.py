@@ -34,9 +34,7 @@ from repro.runtime import (
     SocketExecutor,
     StallOnceSolver,
     StragglerSolver,
-    async_iterate,
 )
-from repro.runtime.resilience import InjectedFault
 from repro.schedule import Placement, WorkerSlot, measure_worker_speeds
 
 pytestmark = pytest.mark.filterwarnings(
@@ -786,55 +784,6 @@ class TestTransactionalAttach:
             ex.close()
 
 
-class TestAsyncRespawn:
-    def test_flaky_kernel_thread_respawn(self):
-        A, b, part, scheme = _problem()
-        flaky = FlakySolver(get_solver("scipy"), fail_solves=(4, 7))
-        res = async_iterate(
-            A, b, part, scheme, flaky,
-            stopping=StoppingCriterion(tolerance=1e-10, max_iterations=500),
-            fault_policy=FaultPolicy(),
-        )
-        assert res.converged
-        assert flaky.failures == 2
-        assert res.fault_stats.workers_lost == 2
-        assert res.fault_stats.respawns == 2
-
-    def test_without_policy_kernel_failure_raises(self):
-        A, b, part, scheme = _problem()
-        flaky = FlakySolver(get_solver("scipy"), fail_solves=(2,))
-        with pytest.raises(InjectedFault):
-            async_iterate(
-                A, b, part, scheme, flaky,
-                stopping=StoppingCriterion(tolerance=1e-10, max_iterations=200),
-            )
-
-    def test_loss_budget_respected(self):
-        A, b, part, scheme = _problem()
-        flaky = FlakySolver(get_solver("scipy"), fail_solves=(2, 3), max_failures=2)
-        with pytest.raises(InjectedFault):
-            async_iterate(
-                A, b, part, scheme, flaky,
-                stopping=StoppingCriterion(tolerance=1e-10, max_iterations=200),
-                fault_policy=FaultPolicy(max_worker_losses=1),
-            )
-
-    def test_permanent_fault_aborts_instead_of_spinning(self):
-        """A block that fails EVERY solve is a permanent fault: the
-        supervisor must surface the error promptly, not respawn into
-        the same wall forever."""
-        A, b, part, scheme = _problem()
-        always = FlakySolver(get_solver("scipy"), fail_rate=1.0, seed=0)
-        t0 = time.monotonic()
-        with pytest.raises(InjectedFault):
-            async_iterate(
-                A, b, part, scheme, always,
-                stopping=StoppingCriterion(tolerance=1e-10, max_iterations=10_000),
-                fault_policy=FaultPolicy(),  # unlimited loss budget
-            )
-        assert time.monotonic() - t0 < 30.0
-
-
 class _ScriptedExecutor(InlineExecutor):
     """Inline executor whose per-round block timings follow a script.
 
@@ -899,10 +848,6 @@ class TestCalibrationOutlierGuard:
         naive0 = sum(rounds_w0) / len(rounds_w0)
         naive1 = sum(rounds_w1) / len(rounds_w1)
         assert naive0 > naive1  # the mean says w0 is SLOWER -- wrong
-
-    def test_outlier_factor_validation(self):
-        with pytest.raises(ValueError):
-            measure_worker_speeds(InlineExecutor(), 1, outlier_factor=1.0)
 
 
 class TestChaosWrapperContract:
