@@ -52,9 +52,9 @@ grid = custom_cluster(
 print(f"grid: {len(grid.hosts)} hosts on sites {grid.sites}")
 
 # -- solve with speed-proportional bands -------------------------------
-for label, proportional in (("proportional bands", True), ("uniform bands", False)):
+for label, placement in (("proportional bands", None), ("uniform bands", "uniform")):
     solver = MultisplittingSolver(
-        mode="synchronous", proportional=proportional, direct_solver="scipy"
+        mode="synchronous", placement=placement, direct_solver="scipy"
     )
     res = solver.solve(A, b, cluster=grid)
     print(

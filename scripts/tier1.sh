@@ -4,8 +4,9 @@
 #   scripts/tier1.sh            # the full tier-1 suite
 #   scripts/tier1.sh tests/test_direct_cache.py   # extra args forwarded
 #
-# Benchmarks are run separately (they are aggregate table replays):
-#   PYTHONPATH=src python -m pytest benchmarks/bench_factor_cache.py -q
+# Measurement is not tier-1: the performance ledger runs as
+#   python benchmarks/ledger/run.py --selftest
+# and the paper-table replays are diffed against tests/golden/ in CI.
 set -eu
 cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" exec python -m pytest -x -q "$@"

@@ -104,11 +104,6 @@ class MultisplittingSolver:
     detection:
         Convergence-detection protocol: ``"centralized"`` or
         ``"decentralized"``.
-    proportional:
-        When True (default) bands are sized proportionally to host speeds
-        on heterogeneous clusters.  Subsumed by ``placement``; kept for
-        backward compatibility (``placement=None`` maps it to the
-        ``"proportional"``/``"uniform"`` strategies).
     placement:
         Scheduling strategy, or an explicit plan
         (:class:`repro.schedule.Placement`):
@@ -127,8 +122,9 @@ class MultisplittingSolver:
         mapping, and the fleet's block-to-worker pinning (processes,
         sockets; the in-process backends validate it and ignore it) in
         one object; its summary lands on :attr:`SolveResult.placement`.
-        ``None`` (default) keeps the legacy behaviour driven by
-        ``proportional``.
+        ``None`` (default) sizes bands to the host speeds on a cluster
+        (the same bands as ``"proportional"``) and equal bands without
+        one.
     cache:
         Factorization reuse across :meth:`solve` calls.  ``True``
         (default) gives the solver its own
@@ -200,7 +196,6 @@ class MultisplittingSolver:
         consecutive: int | None = None,
         max_iterations: int | None = None,
         detection: str = "centralized",
-        proportional: bool = True,
         cache: "FactorizationCache | bool" = True,
         backend: str = "inline",
         placement=None,
@@ -245,7 +240,6 @@ class MultisplittingSolver:
         self.weighting = weighting
         self.partition_strategy = partition_strategy
         self.detection = detection
-        self.proportional = proportional
         self.placement = placement
         if cache is True:
             self.cache: FactorizationCache | None = FactorizationCache(capacity=256)
@@ -358,7 +352,7 @@ class MultisplittingSolver:
             perm = np.random.default_rng(0).permutation(n)
             return permuted_bands(perm, nprocs, overlap=self.overlap)
         overlap = self._schwarz_overlap(n, nprocs) if strategy == "schwarz" else self.overlap
-        if cluster is not None and self.proportional:
+        if cluster is not None:
             speeds = [h.speed for h in cluster.hosts[:nprocs]]
             band = proportional_bands(n, speeds, overlap=overlap)
         else:

@@ -3,7 +3,7 @@
 In synchronous mode every processor reaches the detection point once per
 outer iteration, so detection is an exact boolean AND-reduction.  Two
 schedules are provided because their *cost* differs (which matters on the
-WAN topologies the paper studies, and is one of our ablation benches):
+WAN topologies the paper studies):
 
 * ``centralized`` -- linear gather to rank 0 plus linear release, the
   shape of the master-based algorithm of [2];

@@ -13,8 +13,8 @@ code path:
   and configuration;
 * a repeated request (same sub-block, same kernel) is a *hit* and returns
   the stored handle without touching the kernel -- this is what the hot
-  paths of :mod:`repro.core` rely on, and what
-  ``benchmarks/bench_factor_cache.py`` measures;
+  paths of :mod:`repro.core` rely on, and what the ledger's
+  ``seq_cage`` workload times (a cold solve beside a warm one);
 * mutating a matrix changes its fingerprint, so a stale entry can never be
   returned for fresh data (invalidation is structural, not advisory);
 * :class:`CacheStats` counts hits, misses, evictions and the factor

@@ -29,7 +29,14 @@ __all__ = ["DenseLU", "DenseFactorization"]
 
 
 class DenseFactorization(Factorization):
-    """Packed ``getrf`` factors and their pivots."""
+    """Packed ``getrf`` factors and their pivots.
+
+    SciPy's ``getrs`` wrapper shifts the pivot array it is given to
+    1-based in place for the length of the call, then back.  Executor
+    threads share one factor, so every solve hands LAPACK a private
+    copy: two threads shifting the shared array at once make LAPACK
+    swap the wrong rows, or rows past the end.
+    """
 
     def __init__(self, lu: np.ndarray, piv: np.ndarray, nnz_a: int):
         self._lu = lu
@@ -55,7 +62,7 @@ class DenseFactorization(Factorization):
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
             raise ValueError(f"rhs must have shape ({self.n},)")
-        return dgetrs(self._lu, self._piv, b)[0]
+        return dgetrs(self._lu, self._piv.copy(), b)[0]
 
     def solve_many(self, B: np.ndarray) -> np.ndarray:
         """``getrs`` takes every column in one call."""
@@ -64,7 +71,7 @@ class DenseFactorization(Factorization):
             return self.solve(B)
         if B.ndim != 2 or B.shape[0] != self.n:
             raise ValueError(f"B must have shape ({self.n}, k), got {B.shape}")
-        return dgetrs(self._lu, self._piv, B)[0]
+        return dgetrs(self._lu, self._piv.copy(), B)[0]
 
 
 @register_solver

@@ -169,12 +169,6 @@ def main_serve(argv: list[str] | None = None) -> int:
     parser.add_argument("--n", type=int, default=160, help="matrix order")
     parser.add_argument("--tenants", type=int, default=6, help="distinct matrices")
     parser.add_argument("--blocks", type=int, default=4, help="bands per solve")
-    parser.add_argument(
-        "--pool", type=int, default=1,
-        help="accepted for compatibility: batches iterate one at a time whatever "
-        "it says (concurrent batches convoy on the interpreter lock); "
-        "--backend processes is the way to use more cores",
-    )
     parser.add_argument("--rate", type=float, default=200.0, help="offered req/s")
     parser.add_argument("--duration", type=float, default=2.0, help="trace seconds")
     parser.add_argument("--skew", type=float, default=1.0, help="popularity skew")
@@ -221,7 +215,6 @@ def main_serve(argv: list[str] | None = None) -> int:
     rhs_bank = rhs_rng.standard_normal((64, args.n))
 
     pool = SolverPool(
-        size=args.pool,
         processors=args.blocks,
         cache_capacity=args.cache_capacity,
         backend=args.backend,

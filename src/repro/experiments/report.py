@@ -1,7 +1,7 @@
 """Formatting and shape checks for replayed experiments.
 
 ``format_table`` renders an :class:`~repro.experiments.tables.ExperimentResult`
-as a fixed-width text table (the form the benches print), and the
+as a fixed-width text table (the form ``repro-experiments`` prints), and the
 ``check_*_shape`` functions assert the qualitative agreements with the
 paper that EXPERIMENTS.md reports:
 

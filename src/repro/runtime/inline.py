@@ -4,7 +4,7 @@
 bit for bit -- same systems, same solve order, same cache traffic -- and
 is therefore both the default backend and the reference the parallel
 backends are verified against (see ``tests/test_runtime_executors.py``
-and ``benchmarks/bench_runtime.py``).
+and ``tests/test_runtime_conformance.py``).
 """
 
 from __future__ import annotations

@@ -383,6 +383,10 @@ class FaultInjector:
 # ---------------------------------------------------------------------------
 
 
+#: Emulated fleet size of an in-process backend bound without a plan.
+_VIRTUAL_WORKERS = 2
+
+
 class ChaosExecutor(Executor):
     """Inject a :class:`FaultInjector` schedule into any backend.
 
@@ -402,30 +406,20 @@ class ChaosExecutor(Executor):
     * **drop** -- one block's reply is discarded and re-requested, the
       "lost message" of the paper's asynchronous setting.
 
+    A real kill is sent before the round is dispatched, so the counters
+    are a function of the seeded schedule alone.  An attach without a
+    ``fault_policy`` gets a plain :class:`FaultPolicy`; an in-process
+    backend without a placement is emulated as a fleet of two ranks
+    holding the blocks round-robin.
+
     ``fault_stats()`` merges the wrapper's own counters with the inner
     backend's, so the drivers see one coherent record.  ``close()``
     closes the wrapped backend (the wrapper owns the handle it is given).
     """
 
-    def __init__(
-        self,
-        inner: Executor,
-        injector: FaultInjector | None = None,
-        *,
-        policy: FaultPolicy | None = None,
-        virtual_workers: int = 2,
-        mid_round_kill_delay: float | None = None,
-    ):
-        if virtual_workers < 1:
-            raise ValueError("virtual_workers must be positive")
+    def __init__(self, inner: Executor, injector: FaultInjector | None = None):
         self.inner = inner
         self.injector = injector if injector is not None else FaultInjector()
-        self.policy = policy
-        self.virtual_workers = virtual_workers
-        #: ``None``: kill synchronously before dispatch (deterministic
-        #: counters); a float: arm a timer so the kill lands truly
-        #: mid-computation (used by the resilience benchmark).
-        self.mid_round_kill_delay = mid_round_kill_delay
         self.name = f"chaos:{inner.name}"
         self._round = 0
         self._fault = FaultStats()
@@ -433,7 +427,6 @@ class ChaosExecutor(Executor):
         self._vowner: dict[int, int] = {}
         self._vlive: list[int] = []
         self._vmembership = 0
-        self._timers: list[threading.Timer] = []
 
     def _inner_killable(self) -> bool:
         return hasattr(self.inner, "kill_worker") and hasattr(
@@ -444,11 +437,9 @@ class ChaosExecutor(Executor):
     def attach(
         self, A, b, sets, solver, *, cache=None, placement=None, fault_policy=None
     ) -> None:
-        policy = fault_policy if fault_policy is not None else self.policy
-        if policy is None:
-            # Injecting faults without a recovery contract would just
-            # crash the run; default to plain requeue-on-survivors.
-            policy = FaultPolicy()
+        # Injecting faults without a recovery contract would just crash
+        # the run; default to plain requeue-on-survivors.
+        policy = fault_policy if fault_policy is not None else FaultPolicy()
         self.inner.attach(
             A, b, sets, solver, cache=cache, placement=placement, fault_policy=policy
         )
@@ -463,12 +454,11 @@ class ChaosExecutor(Executor):
                 self._vlive = list(range(placement.nworkers))
                 self._vowner = {l: int(placement.assignment[l]) for l in range(L)}
             else:
-                W = max(1, min(self.virtual_workers, L))
+                W = max(1, min(_VIRTUAL_WORKERS, L))
                 self._vlive = list(range(W))
                 self._vowner = {l: l % W for l in range(L)}
 
     def detach(self) -> None:
-        self._cancel_timers()
         self.inner.detach()
 
     # -- fault application ----------------------------------------------
@@ -476,22 +466,6 @@ class ChaosExecutor(Executor):
         if self._virtual:
             return list(self._vlive)
         return list(self.inner.alive_workers())
-
-    def _cancel_timers(self) -> None:
-        for t in self._timers:
-            t.cancel()
-        self._timers = []
-
-    def _kill(self, worker: int) -> None:
-        if self.mid_round_kill_delay:
-            timer = threading.Timer(
-                self.mid_round_kill_delay, self.inner.kill_worker, args=(worker,)
-            )
-            timer.daemon = True
-            timer.start()
-            self._timers.append(timer)
-        else:
-            self.inner.kill_worker(worker)
 
     def _virtual_crash(self, worker: int) -> list[int]:
         """Emulate losing ``worker``: reassign its blocks, count the loss."""
@@ -561,7 +535,7 @@ class ChaosExecutor(Executor):
                 if self._virtual:
                     orphaned.update(self._virtual_crash(ev.worker))
                 else:
-                    self._kill(ev.worker)
+                    self.inner.kill_worker(ev.worker)
             elif ev.kind == "grow":
                 if tracer is not None:
                     tracer.event(
@@ -669,7 +643,6 @@ class ChaosExecutor(Executor):
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
-        self._cancel_timers()
         self.inner.close()
 
 
@@ -711,38 +684,16 @@ class FlakySolver(DirectSolver):
     worker (one error frame, never a worker loss) and the error seams of
     the drivers and the gateway are exercised.  ``fail_solves`` names
     the 1-based global solve-call numbers that fail (counted across all
-    factors of this wrapper, under a lock); ``fail_rate`` adds seeded
-    random failures; ``max_failures`` bounds the total so a run always
-    eventually succeeds.
+    factors of this wrapper, under a lock).
     """
 
     name = "flaky"
 
-    def __init__(
-        self,
-        inner: DirectSolver,
-        *,
-        fail_solves: Sequence[int] = (),
-        fail_rate: float = 0.0,
-        seed: int = 0,
-        max_failures: int | None = None,
-    ):
-        if not (0.0 <= fail_rate <= 1.0):
-            raise ValueError("fail_rate must lie in [0, 1]")
+    def __init__(self, inner: DirectSolver, *, fail_solves: Sequence[int] = ()):
         self.inner = inner
         self.fail_solves = frozenset(int(s) for s in fail_solves)
-        self.fail_rate = fail_rate
-        self.seed = seed
-        self.max_failures = max_failures
-        self._rng = np.random.default_rng(seed)
         self._lock = threading.Lock()
         self._calls = 0
-        self._failures = 0
-
-    @property
-    def failures(self) -> int:
-        """Faults injected so far."""
-        return self._failures
 
     def __getstate__(self):
         # Shippable to worker processes: the lock is process-local state.
@@ -758,16 +709,7 @@ class FlakySolver(DirectSolver):
         with self._lock:
             self._calls += 1
             call = self._calls
-            budget_left = (
-                self.max_failures is None or self._failures < self.max_failures
-            )
-            fail = budget_left and (
-                call in self.fail_solves
-                or (self.fail_rate and self._rng.random() < self.fail_rate)
-            )
-            if fail:
-                self._failures += 1
-        if fail:
+        if call in self.fail_solves:
             raise InjectedFault(f"injected kernel failure on solve call {call}")
 
     def factor(self, A) -> Factorization:
@@ -787,23 +729,20 @@ class CrashOnceSolver(DirectSolver):
     block -- sees the sentinel and proceeds normally, so the recovered
     run completes.
 
-    ``worker_only`` (default) records the constructing process's pid
-    and never kills it, so driver-side factorization paths (inline and
-    thread backends, reference runs) are immune.
+    The constructing process's pid is recorded and never killed, so
+    driver-side factorization paths (inline and thread backends,
+    reference runs) are immune.
     """
 
     name = "crash-once"
 
-    def __init__(
-        self, inner: DirectSolver, sentinel_path, *, worker_only: bool = True
-    ):
+    def __init__(self, inner: DirectSolver, sentinel_path):
         self.inner = inner
         self.sentinel_path = str(sentinel_path)
-        self.worker_only = worker_only
         self._owner_pid = os.getpid()
 
     def factor(self, A) -> Factorization:
-        if not (self.worker_only and os.getpid() == self._owner_pid):
+        if os.getpid() != self._owner_pid:
             try:
                 fd = os.open(
                     self.sentinel_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY
@@ -829,30 +768,22 @@ class StallOnceSolver(DirectSolver):
     runs normally, so the recovered run completes.  Wrap just one
     block's solver to hang exactly that block.
 
-    ``worker_only`` (default) records the constructing process's pid and
-    never stalls it, keeping driver-side reference solves immune.
+    The constructing process's pid is recorded and never stalled,
+    keeping driver-side reference solves immune.
     """
 
     name = "stall-once"
 
-    def __init__(
-        self,
-        inner: DirectSolver,
-        sentinel_path,
-        *,
-        seconds: float = 5.0,
-        worker_only: bool = True,
-    ):
+    def __init__(self, inner: DirectSolver, sentinel_path, *, seconds: float = 5.0):
         if seconds < 0:
             raise ValueError("seconds must be non-negative")
         self.inner = inner
         self.sentinel_path = str(sentinel_path)
         self.seconds = seconds
-        self.worker_only = worker_only
         self._owner_pid = os.getpid()
 
     def _maybe_stall(self) -> None:
-        if self.worker_only and os.getpid() == self._owner_pid:
+        if os.getpid() == self._owner_pid:
             return
         try:
             fd = os.open(self.sentinel_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)

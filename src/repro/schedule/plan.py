@@ -421,8 +421,9 @@ def cluster_placement(
     sizing rule:
 
     * ``"uniform"`` -- equal bands regardless of speed;
-    * ``"proportional"`` -- sizes proportional to host speed (what
-      ``MultisplittingSolver(proportional=True)`` always did);
+    * ``"proportional"`` -- sizes proportional to host speed (the
+      bands :class:`~repro.core.solver.MultisplittingSolver` builds on a
+      cluster when no placement is given);
     * ``"calibrated"`` -- cost-model balanced: per-iteration flops from
       :func:`iteration_cost_model` (``density`` non-zeros per row,
       batch width ``k``) plus per-band message costs priced over the

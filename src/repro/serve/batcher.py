@@ -9,7 +9,7 @@ its coalescing semantics are testable synchronously; the asyncio
 gateway supplies the timing.
 
 ``window=0`` with ``max_batch=1`` degenerates to request-at-a-time
-dispatch -- the baseline the benchmark compares against.
+dispatch.
 """
 
 from __future__ import annotations

@@ -116,7 +116,7 @@ class ServeStats:
         return self.latency_pct(99)
 
     def summary(self) -> str:
-        """One human-readable line (the bench and CLI report rows)."""
+        """One human-readable line (the ``repro-serve`` report row)."""
         return (
             f"{self.completed} ok / {self.shed} shed in {self.wall_seconds:.2f}s "
             f"({self.throughput_rps:.1f} req/s, mean batch "

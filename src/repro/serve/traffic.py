@@ -1,4 +1,4 @@
-"""Open-loop traffic generation for the serving benchmark and smoke runs.
+"""Open-loop traffic generation for ``repro-serve`` runs.
 
 Arrivals follow a seeded Poisson process (exponential inter-arrival
 times at the offered rate) and pick their matrix from a hot/cold
@@ -57,8 +57,8 @@ def poisson_trace(
 ) -> list[Arrival]:
     """Seeded Poisson arrival schedule over ``[0, duration)`` seconds.
 
-    Deterministic for a given seed, so the benchmark replays the *same*
-    offered trace against both admission policies.
+    Deterministic for a given seed, so two gateway configurations can
+    be offered the *same* trace.
     """
     if rate <= 0 or duration <= 0:
         raise ValueError("rate and duration must be positive")

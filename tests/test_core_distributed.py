@@ -207,7 +207,7 @@ class TestFacade:
     def test_proportional_bands_on_heterogeneous_cluster(self):
         A, b, _ = problem(n=300)
         c = custom_cluster("het", {"s": [1e8, 4e8]})
-        s = MultisplittingSolver(mode="synchronous", proportional=True)
+        s = MultisplittingSolver(mode="synchronous")
         part = s.build_partition(300, c, 2)
         sizes = [c_.size for c_ in part.core]
         assert sizes[1] > sizes[0]

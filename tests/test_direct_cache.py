@@ -314,6 +314,27 @@ class TestCacheOnSolverPaths:
         assert res.cache_stats.misses == 3  # one factorization per sub-block
         assert res.cache_stats.hits == res.iterations * 3  # one lookup per solve
 
+    def test_reuse_changes_no_bit(self):
+        """A factor served from the cache is the factor a fresh
+        factorization would give: identical iterates, and the hits
+        report the factoring time they saved."""
+        from repro.core import make_weighting, multisplitting_iterate, uniform_bands
+
+        A = diagonally_dominant(60, dominance=1.4, bandwidth=5, seed=7)
+        b, _ = rhs_for_solution(A, seed=8)
+        part = uniform_bands(60, 3).to_general()
+        scheme = make_weighting("ownership", part)
+        plain = multisplitting_iterate(A, b, part, scheme, get_solver("scipy"))
+        cache = FactorizationCache()
+        for _ in range(2):
+            cached = multisplitting_iterate(
+                A, b, part, scheme, get_solver("scipy"), cache=cache
+            )
+            assert cached.history == plain.history
+            np.testing.assert_array_equal(cached.x, plain.x)
+        assert cache.stats.misses == 3
+        assert cache.stats.factor_seconds_saved > 0.0
+
     def test_facade_reuses_across_solves(self):
         from repro.core import MultisplittingSolver
 

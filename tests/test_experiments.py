@@ -16,6 +16,7 @@ from repro.experiments import (
     paper_speedup,
     run_experiment,
     table1,
+    table2,
     table4,
     figure3,
 )
@@ -59,6 +60,19 @@ class TestRunners:
         assert row4["residual sync"] < 1e-7
         # multisplitting far faster than the baseline, as in the paper
         assert row4["distributed SuperLU"] > 2 * row4["sync multisplitting-LU"]
+
+    def test_table2_memory_wall_below_four_processors(self):
+        """The paper: cage11 "requires too much memory to be solved with
+        less than 4 processors" -- by distributed SuperLU, while
+        multisplitting, which factors one band per host, runs.  The
+        wall needs the full-size analog (the golden replays start at 4
+        processors)."""
+        r = table2(scale=1.0, procs_list=[3, 4])
+        three, four = r.rows
+        assert three["distributed SuperLU"] == "nem"
+        assert isinstance(three["sync multisplitting-LU"], float)
+        assert isinstance(three["async multisplitting-LU"], float)
+        assert isinstance(four["distributed SuperLU"], float)
 
     def test_table4_small_shape(self):
         r = table4(scale=0.2, perturbations=[0, 5])

@@ -15,11 +15,8 @@ The contract under test is strictly observational instrumentation:
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -570,37 +567,3 @@ class TestServeObservability:
             assert 'repro_spans_total{name="serve.admit"} 6' in text
         finally:
             pool.close()
-
-
-# ---------------------------------------------------------------------------
-# benchmark emission helper
-# ---------------------------------------------------------------------------
-
-
-class TestBenchOutput:
-    def _load(self):
-        path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_output.py"
-        spec = importlib.util.spec_from_file_location("bench_output", path)
-        mod = importlib.util.module_from_spec(spec)
-        sys.modules.setdefault("bench_output", mod)
-        spec.loader.exec_module(mod)
-        return mod
-
-    def test_emit_writes_schema(self, tmp_path, monkeypatch):
-        mod = self._load()
-        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_BENCH_TIMESTAMP", "12345.5")
-        path = mod.emit(
-            "demo",
-            [("sync_time", 0.5, "s"), {"name": "speedup", "value": 2, "units": "x"}],
-            seed=7,
-        )
-        payload = json.loads(Path(path).read_text())
-        assert Path(path).name == "BENCH_demo.json"
-        assert payload["bench"] == "demo"
-        assert payload["seed"] == 7
-        assert payload["timestamp"] == 12345.5
-        assert payload["metrics"] == [
-            {"name": "sync_time", "value": 0.5, "units": "s"},
-            {"name": "speedup", "value": 2.0, "units": "x"},
-        ]

@@ -644,9 +644,9 @@ class TestFaultConformance:
     requeued, on every backend.
     """
 
-    def _chaos(self, backend, injector, **chaos_kwargs):
+    def _chaos(self, backend, injector):
         inner = _make_executor(backend)
-        return inner, ChaosExecutor(inner, injector, **chaos_kwargs)
+        return inner, ChaosExecutor(inner, injector)
 
     def test_sync_bit_identical_under_worker_crash(self, backend):
         A, b, part, scheme = _problem()

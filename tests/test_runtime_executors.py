@@ -270,6 +270,27 @@ class TestSolverFacadeBackend:
         assert sim.wire == {}
         assert sim.fault_stats is None
 
+    def test_threads_on_one_shared_dense_factor_match_inline(self):
+        """Every band of ``poisson_2d(24)`` in six has the same content,
+        so the factor cache hands one dense factor to all six pool
+        threads; their concurrent solves must not disturb each other."""
+        from repro.matrices import poisson_2d
+
+        A = poisson_2d(24)
+        rng = np.random.default_rng(0)
+        options = dict(
+            processors=6, mode="sequential", direct_solver="dense",
+            max_iterations=100,
+        )
+        inline = MultisplittingSolver(**options)
+        with MultisplittingSolver(backend="threads", **options) as threads:
+            for _ in range(24):
+                b = rng.standard_normal(A.shape[0])
+                ref, res = inline.solve(A, b), threads.solve(A, b)
+                assert res.history == ref.history
+                np.testing.assert_array_equal(res.x, ref.x)
+        assert threads.cache.stats.misses == 1
+
     def test_executor_instance_not_owned(self):
         A, b, part, scheme = _problem()
         ex = ThreadExecutor(max_workers=2)
