@@ -35,11 +35,23 @@ not depend on what carries the bytes, so it lives here exactly once:
 
 * :class:`FleetExecutor` -- the driver's side: binding state, the
   attach transaction, detach, trace collection, elastic membership
-  (grow / shrink / migrate), the re-homing decision after a loss, and
-  the cache / fault / wire accounting.  A transport subclass supplies
-  only how a worker is born, killed and reached (the primitives listed
-  on the class) plus the hot ``solve_blocks`` data plane, whose
-  concurrency shape genuinely differs per transport.
+  (grow / shrink / migrate), the re-homing decision after a loss, the
+  cache / fault / wire accounting, and the data plane: one
+  ``solve_blocks`` loop that posts every worker's batch from the
+  calling thread, then polls all reply channels with a per-worker
+  deadline and re-dispatches a lost batch whole after recovery.  A
+  transport subclass supplies only how a worker is born, killed and
+  reached (the primitives listed on the class), including the two
+  data-plane primitives: send one batch, and read the replies that are
+  ready.
+
+  One invariant keeps a stream from deadlocking: at most one unanswered
+  frame per channel.  A driver writing a large frame to a worker that
+  is itself writing a large reply would wait on a peer waiting on it
+  once both directions' buffers fill, so before any frame goes to a
+  worker that still owes a ``done`` -- the next batch, or an ``adopt``
+  spec during recovery -- that ``done`` is read first and kept for the
+  solve loop (:meth:`FleetExecutor._settle`).
 
 Ranks only ever append: a lost or retired worker's rank is never
 reused, so per-rank accounting cannot alias, and a later binding takes
@@ -55,7 +67,7 @@ import select
 import threading
 import time
 import traceback
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -318,19 +330,21 @@ class FleetExecutor(Executor):
     * ``_post(w, frame)`` -- ship one control/binding frame to worker
       ``w``, returning the bytes shipped; a broken channel raises
       :class:`WorkerGone`;
-    * ``_gather(kind, workers)`` -- one current-epoch ``kind`` reply
-      from each worker, as ``(replies, gone)``: stragglers from older
-      epochs are dropped and error frames raise (both through
-      :meth:`_current`), workers that died or timed out are listed in
-      ``gone`` instead of answering;
+    * ``_send_solve(w, tasks)`` -- ship one solve batch (the halo of
+      each task's local copy) to worker ``w``; False when the channel
+      refused it;
+    * ``_ready(workers, timeout)`` -- wait up to ``timeout`` seconds for
+      any of the workers' channels, then read one frame off each ready
+      one, as ``(replies, broken)``: current-epoch ``(w, frame)``
+      pairs, a ``done`` frame extended to ``(..., seconds, pieces)``,
+      and the workers whose channel broke;
     * ``_is_alive(w)``, ``_reap(w)`` (kill a lost or hung worker and
       drop its channel), ``_retire(w)`` (let an idle worker exit
       gracefully), ``_fleet_cap()`` (default worker count);
     * optionally ``_meta()`` (transport knobs for a binding frame) and
       ``_open_binding`` / ``_close_binding`` (per-binding transport
       resources);
-    * the data plane: ``solve_blocks``, ``close``, plus the
-      ``kill_worker`` chaos hook.
+    * ``close``, plus the ``kill_worker`` chaos hook.
     """
 
     def __init__(self, start_method: str | None):
@@ -377,10 +391,12 @@ class FleetExecutor(Executor):
         #: Serialized payload bytes of the last attach, per worker rank
         #: -- the observable for the owned-rows-only shipping guarantee.
         self.attach_payload_bytes: dict[int, int] = {}
-        # Wire counters.  Transports whose data plane runs on io threads
-        # update them under the lock (int += is not atomic under
-        # concurrent writers).
-        self._wire_lock = threading.Lock()
+        #: Per worker with an unanswered solve frame: the frame's batch
+        #: and the instant it is overdue.  At most one per channel.
+        self._owes: dict[int, tuple[tuple[int, ...], float]] = {}
+        #: ``done`` replies read before the solve loop asked for them
+        #: (an adopter heard out before its ``adopt`` spec).
+        self._early: list[tuple[int, tuple]] = []
         self._reset_wire()
 
     def _reset_wire(self) -> None:
@@ -452,6 +468,8 @@ class FleetExecutor(Executor):
         self._halo = []
         self._spec_cache = {}
         self._placement = None
+        self._owes = {}
+        self._early = []
         self._close_binding()
 
     def _forget_fleet(self) -> None:
@@ -470,22 +488,85 @@ class FleetExecutor(Executor):
         return [w for w in self._live if self._is_alive(w)]
 
     # -- replies ---------------------------------------------------------
-    def _current(self, w: int, msg: tuple, kind: str) -> bool:
-        """Classify one reply frame from worker ``w``.
+    def _heartbeat(self) -> float:
+        return self._policy.heartbeat_interval if self._policy is not None else 1.0
 
-        False for a straggler from an older epoch (left over when a
-        binding aborted); an error frame or a reply of the wrong kind
-        raises ``RuntimeError``; True for the awaited reply.
+    def _reply_wait_seconds(self) -> float:
+        """Hard bound on one reply wait, governed by the armed policy.
+
+        The module default ``_REPLY_TIMEOUT`` is a backstop for unarmed
+        bindings.  When a :class:`FaultPolicy` with its own ``deadline``
+        is armed, that deadline governs: a *generous* policy (deadline
+        beyond the default) extends the hard bound so the round is never
+        cut short by the hardcoded constant, while a *tight* deadline is
+        enforced per batch by the solve loop (:meth:`_due`), which reaps
+        the hung worker long before either bound fires.
         """
-        if msg[1] != self._epoch:
-            return False
+        policy = self._policy
+        if policy is not None and policy.deadline is not None:
+            return max(_REPLY_TIMEOUT, policy.deadline)
+        return _REPLY_TIMEOUT
+
+    def _due(self, nblocks: int) -> float:
+        """The instant a batch of ``nblocks`` posted now is overdue.
+
+        A reply proves life once per batch, so a worker owing ``m``
+        blocks is allowed ``m`` times the policy's per-block
+        ``deadline``; without one, the flat backstop applies.
+        """
+        policy = self._policy
+        if policy is not None and policy.deadline is not None:
+            return time.monotonic() + policy.deadline * nblocks
+        return time.monotonic() + _REPLY_TIMEOUT
+
+    def _check(self, w: int, msg: tuple, kind: str) -> None:
+        """Raise ``RuntimeError`` unless ``msg`` is the awaited ``kind``
+        reply: an error frame carries the worker's traceback."""
         if msg[0] == "error":
             raise RuntimeError(f"runtime worker {w} failed:\n{msg[2]}")
         if msg[0] != kind:  # pragma: no cover - protocol violation
             raise RuntimeError(
                 f"expected {kind!r} from worker {w}, got {msg[0]!r}"
             )
-        return True
+
+    def _replies(self, workers, timeout: float):
+        """:meth:`_ready`, with the bookkeeping every read shares.
+
+        A worker with an unanswered solve frame was sent nothing else,
+        so whatever it says next answers that frame.
+        """
+        frames, broken = self._ready(workers, timeout)
+        for w, msg in frames:
+            self._owes.pop(w, None)
+            if msg[0] == "done":
+                self._solve_frames_received += 1
+        return frames, broken
+
+    def _gather(self, kind: str, workers) -> tuple[dict[int, tuple], list[int]]:
+        """One current-epoch ``kind`` reply from each worker.
+
+        Returns ``(replies, gone)``: error frames raise (:meth:`_check`);
+        a worker whose channel broke, whose process died, or that stays
+        silent past the reply-wait bound is listed in ``gone``.
+        """
+        replies: dict[int, tuple] = {}
+        pending = set(workers)
+        give_up = time.monotonic() + self._reply_wait_seconds()
+        while pending:
+            frames, broken = self._replies(pending, self._heartbeat())
+            for w, msg in frames:
+                # Control verbs go out at quiescent points, so a "done"
+                # here is a late answer to an aborted round: dropped.
+                if msg[0] != "done":
+                    self._check(w, msg, kind)
+                    replies[w] = msg
+                    pending.discard(w)
+            pending.difference_update(broken)
+            if not frames:
+                if time.monotonic() > give_up:
+                    break
+                pending = {w for w in pending if self._is_alive(w)}
+        return replies, sorted(set(workers) - set(replies))
 
     def _collect(self, kind: str, workers) -> dict[int, tuple]:
         """:meth:`_gather`, for exchanges where a death is a failure."""
@@ -493,6 +574,29 @@ class FleetExecutor(Executor):
         if gone:
             raise WorkerGone(gone[0], f"no {kind!r} reply")
         return replies
+
+    def _settle(self, workers) -> list[int]:
+        """Read into ``_early`` the solve reply each of ``workers`` owes.
+
+        The channel invariant: called before any frame goes to a worker
+        that may still owe a ``done``.  Each wait is bounded by the
+        batch's deadline.  Returns the workers lost instead of
+        answering (broken channel, dead process, or overdue); their
+        batches stay on record in ``_owes``.
+        """
+        pending = [w for w in workers if w in self._owes]
+        lost: list[int] = []
+        while pending:
+            frames, broken = self._replies(pending, self._heartbeat())
+            self._early += frames
+            now = time.monotonic()
+            for w in pending:
+                if w in self._owes and (
+                    w in broken or now > self._owes[w][1] or not self._is_alive(w)
+                ):
+                    lost.append(w)
+            pending = [w for w in pending if w in self._owes and w not in lost]
+        return lost
 
     def _require_attached(self) -> None:
         if not self._attached:
@@ -528,8 +632,7 @@ class FleetExecutor(Executor):
         payload = pickle.dumps(
             owned_rows_spec(*self._spec_ctx, owned, self._use_cache), protocol=5
         )
-        with self._wire_lock:
-            self._serialize_seconds += time.perf_counter() - t0
+        self._serialize_seconds += time.perf_counter() - t0
         self._spec_cache[key] = payload
         return payload
 
@@ -610,8 +713,7 @@ class FleetExecutor(Executor):
         self._b_shape = b.shape
         self._spec_cache = {}
         self.attach_payload_bytes = {}
-        with self._wire_lock:
-            self._reset_wire()
+        self._reset_wire()
         active = sorted(set(owner.values()))
         self._bound_workers = set(active)
         self._open_binding(b.shape, sets_list)
@@ -824,6 +926,9 @@ class FleetExecutor(Executor):
         by_adopter: dict[int, list[int]] = {}
         for l, w in sorted(new_owner.items()):
             by_adopter.setdefault(w, []).append(l)
+        lost = self._settle(by_adopter)
+        if lost:
+            raise WorkerGone(lost[0], "no 'done' reply before its adoption")
         for w, owned in sorted(by_adopter.items()):
             self._post_spec("adopt", w, owned)
         replies = self._collect("adopted", sorted(by_adopter))
@@ -932,6 +1037,110 @@ class FleetExecutor(Executor):
         self._fault.blocks_requeued += len(orphans)
         self._fault.refactor_seconds += self._adopt(new_owner)
 
+    # -- data plane ------------------------------------------------------
+    def _post_batches(self, blocks, z_of: dict) -> list[int]:
+        """Post one solve frame per owning worker, from this thread.
+
+        Returns the workers lost on the way: their channel refused the
+        frame, or they were lost while the reply they still owed was
+        read first (:meth:`_settle`).  Their batches go on record in
+        ``_owes`` all the same, so the sweep re-homes them.
+        """
+        batches: dict[int, list[int]] = {}
+        for l in blocks:
+            batches.setdefault(self._owner[l], []).append(l)
+        lost = self._settle(batches) if self._owes else []
+        for w, batch in batches.items():
+            if w not in lost:
+                if self._send_solve(w, [(l, z_of[l]) for l in batch]):
+                    self._solve_frames_sent += 1
+                else:
+                    lost.append(w)
+            self._owes[w] = (tuple(batch), self._due(len(batch)))
+        return lost
+
+    def solve_blocks(
+        self, tasks: Sequence[tuple[int, np.ndarray]]
+    ) -> list[np.ndarray]:
+        self._require_attached()
+        # Checked before anything is sent: a bad copy must not leave a
+        # batch half posted.
+        z_of = {l: self._local_copy(z) for l, z in tasks}
+        if len(z_of) != len(tasks):
+            raise ValueError("duplicate block in one solve_blocks call")
+        tracer = self._tracer
+        sent0 = self._vector_bytes_sent
+        recv0 = self._vector_bytes_received
+        pieces: dict[int, np.ndarray] = {}
+        try:
+            lost = set(self._post_batches(list(z_of), z_of))
+            # Replies read while posting answered an aborted round.
+            self._early = []
+            if tracer is not None:
+                tracer.event(
+                    "wire.send", cat="wire", lane="driver",
+                    bytes=int(self._vector_bytes_sent - sent0), blocks=len(tasks),
+                )
+                t_wait = tracer.now()
+            while True:
+                if self._early:
+                    frames, self._early = self._early, []
+                else:
+                    frames, broken = self._replies(list(self._owes), self._heartbeat())
+                    lost.update(broken)
+                for w, msg in frames:
+                    self._check(w, msg, "done")
+                    for l, dt, piece in zip(msg[2], msg[3], msg[4]):
+                        if l in z_of and l not in pieces:
+                            pieces[l] = piece
+                            self._block_seconds[l] += dt
+                if len(pieces) == len(z_of):
+                    break
+                # The liveness sweep runs every iteration, replies or
+                # not: each batch keeps the deadline of its own post, so
+                # one chatty worker's steady replies cannot postpone a
+                # hung peer's (the interleaving explorer's
+                # requeue-vs-reply model is the spec for what recovery
+                # may do with the late reply).
+                now = time.monotonic()
+                lost.update(w for w in self._live if not self._is_alive(w))
+                lost.update(w for w, (_, due) in self._owes.items() if now > due)
+                if not lost:
+                    continue
+                if self._policy is None:
+                    raise RuntimeError(
+                        f"runtime workers died mid-solve: {sorted(lost)} "
+                        "(attach with a FaultPolicy to recover)"
+                    )
+                # Whatever the lost workers still owed goes to the blocks'
+                # new owners, whole; a block solve is a pure function of
+                # (block, z), so the retried solves are bit-identical.
+                orphans = [l for w in lost for l in self._owes.pop(w, ((), 0.0))[0]]
+                self._recover(sorted(lost))
+                lost = set(self._post_batches(sorted(orphans), z_of))
+                # Fresh deadlines: recovery itself (respawn + adopt acks)
+                # takes wall time no worker should be billed for.
+                self._owes = {
+                    w: (batch, self._due(len(batch)))
+                    for w, (batch, _) in self._owes.items()
+                }
+        except RuntimeError:
+            # Hear out the other batches before raising, so that no reply
+            # of this round is left for the next one to take as its own.
+            self._settle(list(self._owes))
+            self._early = []
+            raise
+        if tracer is not None:
+            tracer.add(
+                "barrier.wait", "wait", t_wait, tracer.now() - t_wait,
+                lane="driver", tasks=len(tasks),
+            )
+            tracer.event(
+                "wire.recv", cat="wire", lane="driver",
+                bytes=int(self._vector_bytes_received - recv0), blocks=len(tasks),
+            )
+        return [pieces[l] for l in z_of]
+
     # -- observability ---------------------------------------------------
     def map(self, fn: Callable, items: Iterable) -> list:
         # Workers speak a fixed verb set, not closures; setup-phase maps
@@ -946,23 +1155,22 @@ class FleetExecutor(Executor):
         return self._fault.snapshot()
 
     def wire_stats(self) -> dict:
-        with self._wire_lock:
-            return {
-                "attach_payload_bytes": dict(self.attach_payload_bytes),
-                "vector_bytes_sent": int(self._vector_bytes_sent),
-                "vector_bytes_received": int(self._vector_bytes_received),
-                # Solve batches out and "done" replies in: one each per
-                # active worker per barrier round.
-                "solve_frames_sent": int(self._solve_frames_sent),
-                "solve_frames_received": int(self._solve_frames_received),
-                "serialize_seconds": float(self._serialize_seconds),
-                "transmit_seconds": float(self._transmit_seconds),
-                # Vector bytes the receiver consumed in place (a plane
-                # view, an out-of-band buffer) instead of through a
-                # serialization copy.
-                "copies_avoided": int(self._copies_avoided),
-                "spec_pickles_reused": int(self._spec_pickles_reused),
-            }
+        return {
+            "attach_payload_bytes": dict(self.attach_payload_bytes),
+            "vector_bytes_sent": int(self._vector_bytes_sent),
+            "vector_bytes_received": int(self._vector_bytes_received),
+            # Solve batches out and "done" replies in: one each per
+            # active worker per barrier round.
+            "solve_frames_sent": int(self._solve_frames_sent),
+            "solve_frames_received": int(self._solve_frames_received),
+            "serialize_seconds": float(self._serialize_seconds),
+            "transmit_seconds": float(self._transmit_seconds),
+            # Vector bytes the receiver consumed in place (a plane
+            # view, an out-of-band buffer) instead of through a
+            # serialization copy.
+            "copies_avoided": int(self._copies_avoided),
+            "spec_pickles_reused": int(self._spec_pickles_reused),
+        }
 
     def run_cache_stats(self) -> CacheStats | None:
         if not self._attached or not self._use_cache:

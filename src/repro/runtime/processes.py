@@ -14,7 +14,7 @@ is what is particular to same-host worker processes:
   frames are tens of bytes, far below ``PIPE_BUF``, so their writes are
   atomic and cannot block.  A pipe write, unlike a queue ``put``, can
   *fail* (the reader died) or *stall* (the reader stopped reading):
-  a failed ticket write is left to the liveness sweep that follows it,
+  a refused ticket marks the worker lost for the solve loop's sweep,
   and the only frames big enough to stall -- binding specs -- are
   written under the reply-wait bound (:meth:`ProcessExecutor._post`).
   A worker that has just answered a batch polls its ticket pipe for a
@@ -32,15 +32,12 @@ is what is particular to same-host worker processes:
   ``("done", epoch, blocks, seconds)``.  Tickets order the slot
   accesses, so no locks are needed and nothing numeric is ever pickled
   on the hot path;
-* **the data plane** -- one poll loop over all reply pipes doubling as
-  the heartbeat: every ``heartbeat_interval`` it checks worker
-  liveness, and the policy's ``deadline`` bounds how long any one
-  block may go unanswered *per worker* -- a worker owing ``m`` blocks
-  is overdue ``m x deadline`` after its last proof of life (a hung
-  worker is killed and treated like a crashed one).  Lost batches are
-  re-dispatched after the shared recovery re-homes their blocks;
-  iterates are unaffected because a block solve is a pure function of
-  ``(block, z)``.
+* **the data-plane primitives** -- sending a batch writes its halos
+  into the ``z`` plane and posts the ticket; reading replies waits on
+  all reply pipes at once (``multiprocessing.connection.wait``) and
+  copies each answered batch's pieces off the piece plane.  The loop
+  around them -- deadlines, liveness sweep, recovery, re-dispatch -- is
+  the shared one in :class:`~repro.runtime.fleet.FleetExecutor`.
 
 Trade-offs vs :class:`~repro.runtime.ThreadExecutor`: true core-level
 parallelism independent of any GIL-releasing discipline in the kernels,
@@ -56,18 +53,11 @@ import multiprocessing.connection as mp_connection
 import os
 import threading
 import time
-from typing import Sequence
 
 import numpy as np
 
 from repro.direct.cache import FactorizationCache
-from repro.runtime.fleet import (
-    _REPLY_TIMEOUT,
-    FleetExecutor,
-    WorkerGone,
-    linger,
-    serve,
-)
+from repro.runtime.fleet import FleetExecutor, WorkerGone, linger, serve
 from repro.runtime.shm import SharedVectorPlane
 
 __all__ = ["ProcessExecutor"]
@@ -156,10 +146,6 @@ class ProcessExecutor(FleetExecutor):
         self._conns: list = []
         self._z_plane: SharedVectorPlane | None = None
         self._piece_plane: SharedVectorPlane | None = None
-        # "done" replies read while gathering another kind (a survivor
-        # keeps answering its solves while it adopts); the solve loop
-        # consumes them first.
-        self._early: list[tuple[int, tuple]] = []
 
     # -- transport primitives --------------------------------------------
     def _fleet_cap(self) -> int:
@@ -200,9 +186,7 @@ class ProcessExecutor(FleetExecutor):
         """Write one tiny frame to worker ``w``; False on a broken pipe.
 
         A pipe whose reader died refuses the write where a queue would
-        have buffered it.  On the solve path that is not an error yet:
-        the liveness sweep that follows every dispatch finds the corpse
-        and owns the diagnosis (same recovery, same counters).
+        have buffered it; the caller decides what a refusal means.
         """
         try:
             self._tickets[w].send(frame)
@@ -268,7 +252,6 @@ class ProcessExecutor(FleetExecutor):
         }
 
     def _open_binding(self, b_shape: tuple, sets: list) -> None:
-        self._early = []
         tail = tuple(b_shape[1:])
         self._z_plane = SharedVectorPlane([(h.size,) + tail for h in self._halo])
         self._piece_plane = SharedVectorPlane([(rows.size,) + tail for rows in sets])
@@ -280,201 +263,56 @@ class ProcessExecutor(FleetExecutor):
                 plane.unlink()
         self._z_plane = self._piece_plane = None
 
-    def _heartbeat(self) -> float:
-        return self._policy.heartbeat_interval if self._policy is not None else 1.0
-
-    def _reply_wait_seconds(self) -> float:
-        """Hard bound on one reply wait, governed by the armed policy.
-
-        The module default ``_REPLY_TIMEOUT`` is a backstop for unarmed
-        bindings.  When a :class:`FaultPolicy` with its own ``deadline``
-        is armed, that deadline governs: a *generous* policy (deadline
-        beyond the default) extends the hard bound so the round is never
-        cut short by the hardcoded constant, while a *tight* deadline is
-        enforced by the solve loop's per-block breach check (which reaps
-        the hung worker long before either bound fires).
-        """
-        policy = self._policy
-        if policy is not None and policy.deadline is not None:
-            return max(_REPLY_TIMEOUT, policy.deadline)
-        return _REPLY_TIMEOUT
-
-    def _replies(self, kind: str, workers, timeout: float) -> list[tuple[int, tuple]]:
-        """Every ready current-epoch ``kind`` reply from ``workers``.
-
-        The one reader of the reply pipes: blocks up to ``timeout`` for
-        the *first* reply, takes one frame off every pipe that is ready
-        (a second frame on the same pipe makes the next call return at
-        once), drops stragglers from older epochs, raises on error
-        frames and on replies of the wrong kind (:meth:`_current`).  An
-        empty return is the heartbeat signal (nobody had anything to
-        say).  A pipe at EOF (its worker died) is skipped -- the
-        caller's liveness check owns that diagnosis.
-        """
-        out: list[tuple[int, tuple]] = []
-        if kind == "done" and self._early:
-            early, self._early = self._early, []
-            out = [(w, msg) for w, msg in early if self._current(w, msg, kind)]
-            timeout = 0.0
-        conns = {self._conns[w]: w for w in workers}
-        for conn in mp_connection.wait(list(conns), timeout=timeout):
-            w = conns[conn]
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                continue
-            if msg[0] == "done" and kind != "done":
-                self._early.append((w, msg))
-            elif self._current(w, msg, kind):
-                out.append((w, msg))
-        return out
-
-    def _gather(self, kind: str, workers) -> tuple[dict[int, tuple], list[int]]:
-        replies: dict[int, tuple] = {}
-        pending = set(workers)
-        deadline = time.monotonic() + self._reply_wait_seconds()
-        while pending:
-            batch = self._replies(kind, pending, self._heartbeat())
-            for w, msg in batch:
-                replies[w] = msg
-                pending.discard(w)
-            if not batch:
-                # Nothing to read: a silent worker that is dead -- or,
-                # past the hard bound, merely hung -- will not answer.
-                if time.monotonic() > deadline:
-                    break
-                pending = {w for w in pending if self._is_alive(w)}
-        return replies, sorted(set(workers) - set(replies))
-
-    # -- fault injection -------------------------------------------------
-    def kill_worker(self, rank: int) -> bool:
-        """Hard-kill worker ``rank`` (SIGKILL).  The chaos hook.
-
-        Returns True when a live worker was killed.  Recovery is *not*
-        triggered here -- the next :meth:`solve_blocks` heartbeat finds
-        the corpse, exactly as a real mid-run crash would surface.
-        """
-        if rank not in self._live or not self._is_alive(rank):
-            return False
-        self._procs[rank].kill()
-        self._procs[rank].join(timeout=10.0)
-        return True
-
-    # -- solving ---------------------------------------------------------
-    def _write_z(self, tasks) -> int:
-        """Publish the halo of each task's local copy; returns the bytes."""
+    def _send_solve(self, w: int, tasks) -> bool:
+        """Publish the batch's halos in the ``z`` plane, then its ticket."""
         t0 = time.perf_counter()
         sent = 0
         for l, z in tasks:
-            halo = self._local_copy(z)[self._halo[l]]
+            halo = z[self._halo[l]]
             self._z_plane.slot(l)[...] = halo
             sent += halo.nbytes
         self._transmit_seconds += time.perf_counter() - t0
         self._vector_bytes_sent += sent
         # The worker consumes these bytes as a plane view, not a copy.
         self._copies_avoided += sent
-        return sent
+        return self._ticket(w, ("solve", self._epoch, [l for l, _ in tasks]))
 
-    def _dispatch(self, blocks) -> dict[int, list[int]]:
-        """Post one solve ticket per owning worker; returns worker -> batch."""
-        batches: dict[int, list[int]] = {}
-        for l in blocks:
-            batches.setdefault(self._owner[l], []).append(l)
-        for w, batch in batches.items():
-            if self._ticket(w, ("solve", self._epoch, batch)):
-                self._solve_frames_sent += 1
-        return batches
-
-    def solve_blocks(
-        self, tasks: Sequence[tuple[int, np.ndarray]]
-    ) -> list[np.ndarray]:
-        self._require_attached()
-        blocks = [l for l, _ in tasks]
-        if len(set(blocks)) != len(blocks):
-            raise ValueError("duplicate block in one solve_blocks call")
-        tracer = self._tracer
-        sent_bytes = self._write_z(tasks)
-        if tracer is not None:
-            tracer.event(
-                "wire.send", cat="wire", lane="driver",
-                bytes=int(sent_bytes), blocks=len(tasks),
-            )
-        #: worker -> the blocks it still owes, and its last proof of life
-        #: (the dispatch, or its latest reply).
-        owed = self._dispatch(blocks)
-        t_dispatch = time.monotonic()
-        since = dict.fromkeys(owed, t_dispatch)
-        remaining = set(blocks)
-        policy = self._policy
-        hb = self._heartbeat()
-        hard_deadline = t_dispatch + self._reply_wait_seconds()
-        t_wait = tracer.now() if tracer is not None else 0.0
-        while remaining:
-            for w, (_, _, batch, seconds) in self._replies("done", self._live, hb):
-                self._solve_frames_received += 1
-                for l, dt in zip(batch, seconds):
-                    if l in remaining:  # a requeued block may answer twice
-                        remaining.discard(l)
-                        self._block_seconds[l] += dt
-                # A reply is proof of life for ITS worker only: it
-                # restarts the clock of that worker's other batches (a
-                # deep queue on a live worker is not a hang), but never
-                # a peer's.
-                if w in owed:
-                    owed[w] = [l for l in owed[w] if l in remaining]
-                    since[w] = time.monotonic()
-            if not remaining:
-                break
-            # Corpse/deadline sweep runs every iteration, replies or not:
-            # each worker keeps the clock of its dispatch (or its last
-            # reply), so one chatty worker's steady replies cannot keep
-            # resetting a shared round deadline and mask a hung peer
-            # (the interleaving explorer's requeue-vs-reply model is the
-            # spec for what recovery may do with the late reply).  A
-            # reply proves life once per batch, so the allowance is the
-            # policy's per-block deadline times the blocks still owed.
-            now = time.monotonic()
-            dead = [w for w in self._live if not self._is_alive(w)]
-            if policy is None and dead:
-                raise RuntimeError(f"runtime workers died: {dead}")
-            if policy is not None and not dead and policy.deadline is not None:
-                dead = sorted(
-                    w for w, batch in owed.items()
-                    if batch and now - since[w] > policy.deadline * len(batch)
-                )
-            if not dead:
-                if now > hard_deadline:
-                    raise RuntimeError(
-                        f"timed out waiting for 'done' replies "
-                        f"({len(blocks) - len(remaining)}/{len(blocks)} received)"
-                    )
+    def _ready(self, workers, timeout: float):
+        # Tickets order the slot accesses: a "done" means its worker
+        # wrote the batch's piece slots and will not touch them again
+        # before its next ticket, so they are copied off here.
+        conns = {self._conns[w]: w for w in workers}
+        frames: list[tuple[int, tuple]] = []
+        broken: list[int] = []
+        for conn in mp_connection.wait(list(conns), timeout=timeout):
+            w = conns[conn]
+            try:
+                msg = conn.recv()
+            except (EOFError, OSError):
+                broken.append(w)
                 continue
-            self._recover(dead)
-            # Whatever the dead workers still owed goes to the blocks'
-            # new owners, whole (the z slots still hold the round's
-            # halos, so the retried solves are bit-identical).  Fresh
-            # clocks for every worker: recovery itself (respawn + adopt
-            # acks) takes wall time no worker should be billed for.
-            orphans = sorted(l for w in dead for l in owed.pop(w, ()))
-            for w, batch in self._dispatch(orphans).items():
-                owed[w] = owed.get(w, []) + batch
-            now = time.monotonic()
-            since = dict.fromkeys(owed, now)
-            hard_deadline = now + self._reply_wait_seconds()
-        if tracer is not None:
-            tracer.add(
-                "barrier.wait", "wait", t_wait, tracer.now() - t_wait,
-                lane="driver", tasks=len(blocks),
-            )
-        pieces = [self._piece_plane.read(l) for l in blocks]
-        recv_bytes = sum(p.nbytes for p in pieces)
-        self._vector_bytes_received += recv_bytes
-        if tracer is not None:
-            tracer.event(
-                "wire.recv", cat="wire", lane="driver",
-                bytes=int(recv_bytes), blocks=len(blocks),
-            )
-        return pieces
+            if msg[1] != self._epoch:
+                continue
+            if msg[0] == "done":
+                pieces = [self._piece_plane.read(l) for l in msg[2]]
+                self._vector_bytes_received += sum(p.nbytes for p in pieces)
+                msg += (pieces,)
+            frames.append((w, msg))
+        return frames, broken
+
+    # -- fault injection -------------------------------------------------
+    def kill_worker(self, rank: int) -> bool:
+        """Hard-kill worker ``rank`` (SIGKILL).  The chaos hook.
+
+        Returns True when a live worker was killed.  Recovery is *not*
+        triggered here -- the next :meth:`solve_blocks` sweep finds the
+        corpse, exactly as a real mid-run crash would surface.
+        """
+        if rank not in self._live or not self._is_alive(rank):
+            return False
+        self._procs[rank].kill()
+        self._procs[rank].join(timeout=10.0)
+        return True
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
@@ -504,6 +342,5 @@ class ProcessExecutor(FleetExecutor):
             self._reap(w)
         self._tickets = []
         self._conns = []
-        self._early = []
         self._forget_fleet()
 

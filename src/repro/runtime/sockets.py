@@ -12,8 +12,8 @@ speaking it over real sockets, so worker processes may live anywhere:
   ``memoryview`` segments via vectored ``sendmsg`` writes, received
   straight into preallocated per-block buffers with ``recv_into``).
   TCP gives per-worker FIFO, and peer death is immediate: a broken
-  stream (or a breached per-request deadline -- the armed policy's
-  ``deadline`` becomes the receive bound) marks the worker lost;
+  stream (or a reply still arriving past its batch's deadline) marks
+  the worker lost;
 * **how a worker is born** -- loopback (CI, laptops):
   ``SocketExecutor(workers=3)`` spawns three local worker processes on
   ephemeral 127.0.0.1 ports and connects; distributed: start
@@ -24,17 +24,17 @@ speaking it over real sockets, so worker processes may live anywhere:
   the worker side.  Only owned loopback workers can be respawned, killed,
   or told to exit; external ones are merely disconnected (their accept
   loop waits for the next driver, factor cache intact);
-* **the data plane** -- one io thread per worker stream, one
-  ``solve`` frame out and one ``done`` frame back per round: the frame
-  carries, for every block the worker owes, only the halo
-  ``z[halo_l]`` its ``Dep`` reads.  The strict send-one/recv-one
-  pairing can never deadlock and keeps the per-worker solve order
-  deterministic; a stream that breaks mid-round hands its whole batch
-  to the shared recovery and the lost solves are re-dispatched.
-  Iterates are unaffected: a block solve is a pure function of
-  ``(block, z)`` wherever it runs.  A worker that has just answered
-  polls its stream briefly before blocking on it
-  (:func:`~repro.runtime.fleet.linger`).
+* **the data-plane primitives** -- one ``solve`` frame out and one
+  ``done`` frame back per worker per round, written and read by the
+  calling thread: the frame carries, for every block the worker owes,
+  only the halo ``z[halo_l]`` its ``Dep`` reads, and the reply its
+  pieces.  Replies are found with ``select.poll`` over all streams and
+  each is read whole under its batch's absolute deadline.  The loop
+  around them is the shared one in
+  :class:`~repro.runtime.fleet.FleetExecutor`, whose one-unanswered-
+  frame-per-stream rule is what keeps a stream from deadlocking.  A
+  worker that has just answered polls its stream briefly before
+  blocking on it (:func:`~repro.runtime.fleet.linger`).
 
 ``close`` is idempotent and safe after a worker crash: exits are
 fire-and-forget, sockets are torn down unconditionally, and spawned
@@ -47,21 +47,15 @@ import argparse
 import os
 import pickle
 import queue
+import select
 import socket
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.direct.cache import FactorizationCache
-from repro.runtime.fleet import (
-    _REPLY_TIMEOUT,
-    FleetExecutor,
-    WorkerGone,
-    linger,
-    serve,
-)
+from repro.runtime.fleet import FleetExecutor, WorkerGone, linger, serve
 from repro.runtime.wire import BufferPool, recv_frame, send_frame
 
 __all__ = ["SocketExecutor", "serve_worker"]
@@ -183,10 +177,6 @@ class SocketExecutor(FleetExecutor):
         backend targets ``os.cpu_count()`` loopback workers (so
         ``backend="sockets"`` works by name, like the other backends),
         clamped at each attach to the binding's block count.
-    reply_timeout:
-        Seconds to wait on any single worker reply before declaring the
-        worker dead (a binding's :class:`FaultPolicy` ``deadline``
-        overrides this for solve replies).
     start_method:
         ``multiprocessing`` start method for spawned loopback workers
         (same auto-pick rules as :class:`~repro.runtime.ProcessExecutor`).
@@ -199,7 +189,6 @@ class SocketExecutor(FleetExecutor):
         addresses: Sequence[tuple[str, int]] | None = None,
         *,
         workers: int | None = None,
-        reply_timeout: float = _REPLY_TIMEOUT,
         start_method: str | None = None,
     ):
         if addresses is not None and workers is not None:
@@ -213,11 +202,9 @@ class SocketExecutor(FleetExecutor):
         super().__init__(start_method)
         self.addresses = list(addresses) if addresses is not None else None
         self.workers = workers
-        self.reply_timeout = reply_timeout
         self._socks: list[socket.socket] = []
         #: rank -> owned loopback process (external workers have none).
         self._rank_proc: dict[int, object] = {}
-        self._io_pool: ThreadPoolExecutor | None = None
         #: Per-worker receive-buffer pools (driver side): pieces land in
         #: rotating preallocated buffers instead of fresh allocations.
         self._pools: dict[int, BufferPool] = {}
@@ -282,7 +269,6 @@ class SocketExecutor(FleetExecutor):
             for addr, proc in zip(addresses, procs):
                 sock = socket.create_connection(addr, timeout=_CONNECT_TIMEOUT)
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                sock.settimeout(self.reply_timeout)
                 rank = len(self._socks)
                 self._pools[rank] = BufferPool()
                 self._socks.append(sock)
@@ -291,11 +277,6 @@ class SocketExecutor(FleetExecutor):
         except OSError as exc:
             self.close()
             raise RuntimeError(f"cannot connect to socket worker {addr}: {exc}")
-        if self._io_pool is not None:
-            self._io_pool.shutdown(wait=True)
-        self._io_pool = ThreadPoolExecutor(
-            max_workers=len(self._socks), thread_name_prefix="repro-socket-io"
-        )
 
     def _is_alive(self, w: int) -> bool:
         # An external worker's death is only observable through I/O.
@@ -310,55 +291,73 @@ class SocketExecutor(FleetExecutor):
             pickle.PickleBuffer(x) if isinstance(x, bytes) else x for x in frame
         )
         try:
-            self._socks[w].settimeout(self.reply_timeout)
+            self._socks[w].settimeout(self._reply_wait_seconds())
             info = send_frame(self._socks[w], frame)
         except OSError as exc:
             raise WorkerGone(w, exc) from None
-        with self._wire_lock:
-            self._serialize_seconds += info["serialize_seconds"]
-            self._transmit_seconds += info["transmit_seconds"]
+        self._serialize_seconds += info["serialize_seconds"]
+        self._transmit_seconds += info["transmit_seconds"]
         return info["payload"]
 
-    def _recv_reply(
-        self, w: int, kind: str, *, key=None, deadline: float | None = None
-    ) -> tuple:
-        """Next current-epoch ``kind`` frame from worker ``w``.
+    def _send_solve(self, w: int, tasks) -> bool:
+        frame = (
+            "solve",
+            self._epoch,
+            [l for l, _ in tasks],
+            [z[self._halo[l]] for l, z in tasks],
+        )
+        try:
+            # Re-armed per frame: a deadline-bounded receive leaves the
+            # socket with whatever sliver of time remained.
+            self._socks[w].settimeout(self._reply_wait_seconds())
+            info = send_frame(self._socks[w], frame, transient=True)
+        except OSError:
+            return False
+        self._vector_bytes_sent += info["payload"]
+        self._serialize_seconds += info["serialize_seconds"]
+        self._transmit_seconds += info["transmit_seconds"]
+        self._copies_avoided += info["oob_bytes"]
+        return True
 
-        ``key`` opts into worker ``w``'s receive-buffer pool: a solve
-        reply's pieces land in rotating preallocated buffers keyed by
-        its batch (only frames the worker flagged transient are pooled,
-        so control replies always own their memory).  ``deadline`` is an
-        *absolute* monotonic bound on getting the expected reply: it
-        spans straggler frames and partial receives alike, so neither a
-        trickling peer nor a backlog of stale frames can stretch one
-        batch's reply past the armed fault deadline.
-        """
-        pool = self._pools.get(w) if key is not None else None
-        while True:
+    def _ready(self, workers, timeout: float):
+        ready = select.poll()  # not select(): fds may be >= 1024
+        rank_of: dict[int, int] = {}
+        broken: list[int] = []
+        for w in workers:
+            fd = self._socks[w].fileno()
+            if fd < 0:  # severed by kill_worker
+                broken.append(w)
+                continue
+            ready.register(fd, select.POLLIN)
+            rank_of[fd] = w
+        frames: list[tuple[int, tuple]] = []
+        for fd, _ in ready.poll(timeout * 1000.0):
+            w = rank_of[fd]
+            # A solve reply's pieces land in the worker's rotating pool,
+            # keyed by its batch (only frames the worker flagged
+            # transient are pooled, so control replies own their
+            # memory).  The deadline is absolute: neither a trickling
+            # peer nor partial receives can stretch one reply past it.
+            batch, due = self._owes.get(
+                w, (None, time.monotonic() + self._reply_wait_seconds())
+            )
             try:
                 msg, info = recv_frame(
-                    self._socks[w], pool=pool, key=key, deadline=deadline
+                    self._socks[w],
+                    pool=self._pools[w] if batch is not None else None,
+                    key=batch,
+                    deadline=due,
                 )
-            except OSError as exc:
-                raise WorkerGone(w, exc) from None
-            if not self._current(w, msg, kind):
+            except OSError:
+                broken.append(w)
                 continue
-            if kind == "done":
-                with self._wire_lock:
-                    self._solve_frames_received += 1
-                    self._vector_bytes_received += info["payload"]
-                    self._copies_avoided += info["oob_bytes"]
-            return msg
-
-    def _gather(self, kind: str, workers) -> tuple[dict[int, tuple], list[int]]:
-        replies: dict[int, tuple] = {}
-        gone: list[int] = []
-        for w in sorted(workers):
-            try:
-                replies[w] = self._recv_reply(w, kind)
-            except WorkerGone:
-                gone.append(w)
-        return replies, gone
+            if msg[1] != self._epoch:
+                continue
+            if msg[0] == "done":
+                self._vector_bytes_received += info["payload"]
+                self._copies_avoided += info["oob_bytes"]
+            frames.append((w, msg))
+        return frames, broken
 
     def _reap(self, w: int) -> None:
         proc = self._rank_proc.get(w)
@@ -414,146 +413,6 @@ class SocketExecutor(FleetExecutor):
             proc.join(timeout=10.0)
         return True
 
-    # -- solving ---------------------------------------------------------
-    def _solve_timeout(self) -> float:
-        """Per-request deadline -- for *solve* replies only.
-
-        Only the hot path converts a slow reply into a recoverable
-        fault; control verbs keep the long ``reply_timeout``.
-        """
-        if self._policy is not None and self._policy.deadline is not None:
-            return self._policy.deadline
-        return self.reply_timeout
-
-    def _send_solve(self, w: int, tasks) -> None:
-        """One solve frame to worker ``w``: its batch's halos (raises
-        ``OSError`` if the stream is broken)."""
-        info = send_frame(
-            self._socks[w],
-            (
-                "solve",
-                self._epoch,
-                [l for l, _ in tasks],
-                [self._local_copy(z)[self._halo[l]] for l, z in tasks],
-            ),
-            transient=True,
-        )
-        with self._wire_lock:
-            self._solve_frames_sent += 1
-            self._vector_bytes_sent += info["payload"]
-            self._serialize_seconds += info["serialize_seconds"]
-            self._transmit_seconds += info["transmit_seconds"]
-            self._copies_avoided += info["oob_bytes"]
-
-    def _run_worker_tasks(
-        self, w: int, tasks: list[tuple[int, np.ndarray]]
-    ) -> list[tuple[int, np.ndarray, float]] | None:
-        """One frame out, one frame back on worker ``w``'s stream.
-
-        At most one request and one reply in flight per stream: the
-        pairing can never deadlock and keeps the per-worker solve order
-        deterministic.  Returns the batch's ``(block, piece, seconds)``
-        triples, or ``None`` when the stream broke -- it does not raise,
-        so the caller can recover the batch elsewhere.  A send to a dead
-        peer is a worker death exactly like a failed recv (whether it
-        surfaces here or on the reply is a TCP timing accident), so
-        both lose the batch.  The reply proves life once per batch, so
-        its absolute receive deadline is the per-block bound times the
-        batch size.  Worker-reported kernel error frames raise out of
-        :meth:`_recv_reply` as ``RuntimeError`` and are deliberately NOT
-        caught here: a broken kernel must surface to the caller, never
-        be misread as a worker loss and "recovered" into an infinite
-        refactor loop.
-        """
-        timeout = self._solve_timeout()
-        blocks = tuple(l for l, _ in tasks)
-        try:
-            # Re-arm the base timeout per batch: a deadline-bounded
-            # receive may leave the socket with whatever sliver of time
-            # remained, and the next send must not inherit it.
-            self._socks[w].settimeout(timeout)
-            self._send_solve(w, tasks)
-            _, _, batch, seconds, pieces = self._recv_reply(
-                w, "done", key=blocks,
-                deadline=time.monotonic() + timeout * len(tasks),
-            )
-        except (OSError, WorkerGone):
-            return None
-        return list(zip(batch, pieces, seconds))
-
-    def solve_blocks(
-        self, tasks: Sequence[tuple[int, np.ndarray]]
-    ) -> list[np.ndarray]:
-        self._require_attached()
-        blocks = [l for l, _ in tasks]
-        if len(set(blocks)) != len(blocks):
-            raise ValueError("duplicate block in one solve_blocks call")
-        pieces: dict[int, np.ndarray] = {}
-        tracer = self._tracer
-        if tracer is not None:
-            with self._wire_lock:
-                sent0, recv0 = self._vector_bytes_sent, self._vector_bytes_received
-                ser0, tx0 = self._serialize_seconds, self._transmit_seconds
-            t_wait = tracer.now()
-        todo = list(tasks)
-        while todo:
-            by_worker: dict[int, list[tuple[int, np.ndarray]]] = {}
-            for l, z in todo:
-                by_worker.setdefault(self._owner[l], []).append((l, z))
-            futures = {
-                w: self._io_pool.submit(self._run_worker_tasks, w, wtasks)
-                for w, wtasks in by_worker.items()
-            }
-            failed: list[int] = []
-            errors: list[Exception] = []
-            for w, fut in futures.items():
-                try:
-                    done = fut.result()
-                except Exception as exc:  # kernel error frames raise through
-                    errors.append(exc)
-                    continue
-                if done is None:
-                    failed.append(w)
-                    continue
-                for l, piece, dt in done:
-                    pieces[l] = piece
-                    self._block_seconds[l] += dt
-            if errors:
-                raise errors[0]
-            if not failed:
-                break
-            if self._policy is None:
-                raise RuntimeError(
-                    f"socket workers died mid-solve: {sorted(failed)} "
-                    "(attach with a FaultPolicy to recover)"
-                )
-            failed.sort()
-            self._recover(failed)
-            todo = [t for w in failed for t in by_worker[w]]
-        if tracer is not None:
-            # One aggregated wait span + wire event pair per round on the
-            # driver lane; the per-block detail lives on the worker lanes.
-            tracer.add(
-                "barrier.wait", "wait", t_wait, tracer.now() - t_wait,
-                lane="driver", tasks=len(tasks),
-            )
-            with self._wire_lock:
-                sent = self._vector_bytes_sent - sent0
-                received = self._vector_bytes_received - recv0
-                ser = self._serialize_seconds - ser0
-                tx = self._transmit_seconds - tx0
-            # Aggregated driver-lane split of the round's send cost:
-            # serialize (pickling) vs transmit (socket writes).
-            tracer.add(
-                "wire.serialize", "wire", t_wait, ser, lane="driver", bytes=sent,
-            )
-            tracer.add(
-                "wire.transmit", "wire", t_wait, tx, lane="driver", bytes=sent,
-            )
-            tracer.event("wire.send", cat="wire", lane="driver", bytes=sent)
-            tracer.event("wire.recv", cat="wire", lane="driver", bytes=received)
-        return [pieces[l] for l in blocks]
-
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
         """Tear everything down: idempotent, and safe after a worker crash.
@@ -576,9 +435,6 @@ class SocketExecutor(FleetExecutor):
         self._socks = []
         self._rank_proc = {}
         self._pools = {}
-        if self._io_pool is not None:
-            self._io_pool.shutdown(wait=True)
-            self._io_pool = None
         self._join_all()
         self._forget_fleet()
 

@@ -35,11 +35,12 @@ from repro.matrices import diagonally_dominant, rhs_for_solution
 from repro.runtime import (
     FaultPolicy,
     FlakySolver,
+    InlineExecutor,
     ProcessExecutor,
     SocketExecutor,
     StragglerSolver,
 )
-import repro.runtime.processes as processes_module
+import repro.runtime.fleet as fleet_module
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:resource_tracker:UserWarning"
@@ -96,6 +97,38 @@ class TestKernelErrorsPropagate:
             assert len(ex.alive_workers()) == 2
         finally:
             ex.close()
+
+    @pytest.mark.parametrize("backend", ["processes", "sockets"])
+    def test_straggling_peer_reply_stays_in_its_round(self, backend):
+        """The round that raises hears out its other batches first.
+        (Regression: the process loop raised at the first error frame,
+        the straggling peer's same-epoch ``done`` stayed in its pipe,
+        and the next round took it as its own and read the peer's piece
+        slot before the peer had rewritten it.)"""
+        A, b, part, _ = _problem(L=2)
+        # The peer straggles in both rounds, so a round that took the
+        # first round's reply would read a slot not yet rewritten.
+        kernels = [
+            self._flaky(),
+            StragglerSolver(get_solver("scipy"), seconds=0.3, slow_calls=(1, 2)),
+        ]
+        if backend == "processes":
+            ex = ProcessExecutor(max_workers=2)
+        else:
+            ex = SocketExecutor(workers=2)
+        z = np.full(b.shape, 2.0)
+        try:
+            ex.attach(A, b, part.sets, kernels)
+            with pytest.raises(RuntimeError, match="InjectedFault"):
+                ex.solve_round([np.zeros(b.shape)] * 2)
+            pieces = ex.solve_round([z] * 2)
+        finally:
+            ex.close()
+        with InlineExecutor() as inline:
+            inline.attach(A, b, part.sets, get_solver("scipy"))
+            ref = inline.solve_round([z] * 2)
+        for x, y in zip(pieces, ref):
+            np.testing.assert_array_equal(x, y)
 
     def test_process_kernel_error_leaves_a_clean_detach(self):
         """The failed batch's halo views go with its error frame, so
@@ -172,7 +205,7 @@ class TestPolicyDeadlineGovernsReplyWaits:
         # Shrink the protocol backstop below the solve's real duration:
         # the armed policy's *generous* deadline must govern, so the
         # stalled-but-legitimate solve completes instead of timing out.
-        monkeypatch.setattr(processes_module, "_REPLY_TIMEOUT", 1.0)
+        monkeypatch.setattr(fleet_module, "_REPLY_TIMEOUT", 1.0)
         A, b, part, scheme = _problem()
         kernels = [
             StragglerSolver(get_solver("scipy"), seconds=3.0, slow_calls=(1,)),

@@ -171,9 +171,9 @@ class TestProcessRecovery:
         import os
         import signal
 
-        import repro.runtime.processes as processes
+        import repro.runtime.fleet as fleet
 
-        monkeypatch.setattr(processes, "_REPLY_TIMEOUT", 2.0)
+        monkeypatch.setattr(fleet, "_REPLY_TIMEOUT", 2.0)
         small_A, small_b, small_part, _ = _problem()
         n = 40000
         A = diagonally_dominant(n, dominance=1.5, bandwidth=6, seed=2)
@@ -307,7 +307,8 @@ class TestPerBlockDeadline:
     outstanding block to its worker's last proof of life (dispatch or
     that worker's latest reply), checked every iteration."""
 
-    def test_chatty_worker_cannot_mask_hung_peer(self, tmp_path):
+    @pytest.mark.parametrize("backend", ["processes", "sockets"])
+    def test_chatty_worker_cannot_mask_hung_peer(self, tmp_path, backend):
         import threading
 
         n, L = 84, 21
@@ -334,7 +335,7 @@ class TestPerBlockDeadline:
             StragglerSolver(get_solver("scipy"), seconds=0.15, slow_calls=(1,))
             for _ in range(L - 1)
         ]
-        ex = ProcessExecutor(max_workers=2)
+        ex = _fleet(backend)
         try:
             ex.attach(
                 A, b, part.sets, kernels,
