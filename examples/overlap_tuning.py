@@ -9,7 +9,8 @@ the one-off factorization cost.  Somewhere in between lies the optimum
 
 This example sweeps the overlap on the gen-overlap workload (dominance
 1.012 -> rho(J) ~ 0.99), prints the trade-off table, and reports the
-best size.  It also shows the weighting families side by side: the
+best size, next to the overlap the sequential facade chooses by itself
+(``overlap=None``).  It also shows the weighting families side by side: the
 restricted (ownership) combination versus the O'Leary-White average.
 
 Run:  python examples/overlap_tuning.py
@@ -42,6 +43,18 @@ for frac in (0.0, 0.005, 0.01, 0.02, 0.035, 0.05):
         best = (overlap, res.simulated_time)
 
 print(f"\nbest overlap: {best[0]} ({best[0] / n:.1%} of n) at {best[1]:.4f} s")
+
+# In sequential mode overlap=None asks the facade to choose: it probes a
+# few rounds of the homogeneous iteration and prices each candidate as
+# factor flops plus predicted rounds x solve flops (no trial solves).
+rule = MultisplittingSolver(10, mode="sequential", max_iterations=5000)
+res = rule.solve(A, b)
+chosen = rule.chosen_overlap(A)
+zero = MultisplittingSolver(10, mode="sequential", overlap=0, max_iterations=5000)
+print(
+    f"sequential mode, overlap=None: the rule chose {chosen} ({chosen / n:.1%} of n), "
+    f"{res.iterations} iterations against {zero.solve(A, b).iterations} at overlap 0"
+)
 
 print("\nweighting families at the best overlap:")
 for weighting in ("ownership", "averaging", "schwarz"):

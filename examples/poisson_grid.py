@@ -6,7 +6,11 @@ modeled by PDEs and discretized by the finite difference method".  This
 example builds a non-symmetric upwind advection-diffusion operator (an
 irreducibly diagonally dominant Z-matrix, i.e. Propositions 1-3 all
 apply), verifies the matrix classes, and solves it on a custom two-site
-heterogeneous grid with speed-proportional band sizes.
+heterogeneous grid twice: with the default bands sized to the host
+speeds (``placement=None``) and with equal bands.  On this grid the
+equal bands win (50 iterations and 1.087 s simulated against 52 and
+1.138 s): bands sized to raw host speed cost two more rounds here and
+save no time per round.
 
 It also contrasts the direct kernels: the same multisplitting outer loop
 over LAPACK's band LU versus SciPy's SuperLU.
@@ -51,7 +55,7 @@ grid = custom_cluster(
 )
 print(f"grid: {len(grid.hosts)} hosts on sites {grid.sites}")
 
-# -- solve with speed-proportional bands -------------------------------
+# -- speed-proportional bands (the default) against equal bands -------
 for label, placement in (("proportional bands", None), ("uniform bands", "uniform")):
     solver = MultisplittingSolver(
         mode="synchronous", placement=placement, direct_solver="scipy"

@@ -250,8 +250,13 @@ def slice_local_system(
     The caller's ``band`` is only read.
     """
     rows = np.asarray(rows, dtype=np.int64)
+    # A run of consecutive indices (every band) is cut as a range: the
+    # same arrays as the index gather, for less work.
+    cut = rows
+    if rows.size and np.all(np.diff(rows) == 1):
+        cut = slice(int(rows[0]), int(rows[-1]) + 1)
     if band is None:
-        band = csr[rows, :].tocsr()
+        band = csr[cut, :].tocsr()
     else:
         band = band.tocsr()
         if band.shape[0] != rows.size:
@@ -263,7 +268,7 @@ def slice_local_system(
     dep = sp.csr_matrix(
         (band.data[keep], band.indices[keep], indptr), shape=band.shape
     )
-    a_csc = band[:, rows].tocsc()
+    a_csc = band[:, cut].tocsc()
     return BandSlice(index, rows, a_csc.tocsr(), a_csc, dep)
 
 

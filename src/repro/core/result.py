@@ -73,6 +73,10 @@ class SolveResult:
         Per-round monitor values (diff max-norms or residuals, per the
         stopping metric).  Empty for the simulated modes, whose monitors
         are per-rank.
+    contraction:
+        The contraction factor per round that ``history`` shows
+        (:func:`repro.core.stopping.observed_contraction`); ``None``
+        below 3 rounds and in the simulated modes.
     cache_stats:
         Factorization-cache counters attributable to this run (``None``
         when no cache was supplied).
@@ -116,6 +120,7 @@ class SolveResult:
     detection_messages: int = 0
     stats: RunStats | None = None
     history: list[float] = field(default_factory=list)
+    contraction: float | None = None
     cache_stats: CacheStats | None = None
     fault_stats: "object | None" = None
     backend: str = "inline"

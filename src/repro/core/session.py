@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.result import STATUS_MAXITER, STATUS_OK, SolveResult
+from repro.core.stopping import observed_contraction
 from repro.linalg.norms import residual_norm
 from repro.observe import resolve_trace
 
@@ -269,6 +270,7 @@ class RunSession:
             residual=residual_norm(self.A, self.x, self.b),
             nprocs=self.nblocks,
             history=self.history,
+            contraction=observed_contraction(self.history),
             cache_stats=ex.run_cache_stats(),
             fault_stats=ex.fault_stats(),
             backend=ex.name,

@@ -22,11 +22,13 @@ Three execution modes:
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
 
 from repro.core.asynchronous import run_asynchronous
+from repro.core.local import slice_local_system
 from repro.core.partition import (
     BandPartition,
     GeneralPartition,
@@ -37,12 +39,14 @@ from repro.core.partition import (
 )
 from repro.core.result import SolveResult
 from repro.core.sequential import multisplitting_iterate
-from repro.core.stopping import StoppingCriterion
+from repro.core.stopping import StoppingCriterion, observed_contraction
 from repro.core.sync import run_synchronous
 from repro.core.weighting import WeightingScheme, make_weighting
 from repro.direct.base import DirectSolver, get_solver
-from repro.direct.cache import FactorizationCache
+from repro.direct.cache import FactorizationCache, matrix_fingerprint, solver_fingerprint
+from repro.direct.costs import sparse_factor_cost
 from repro.grid.topology import Cluster, cluster1
+from repro.linalg.sparse import as_csr
 from repro.observe import resolve_trace
 
 __all__ = ["MultisplittingSolver", "SolveResult"]
@@ -50,6 +54,15 @@ __all__ = ["MultisplittingSolver", "SolveResult"]
 _MODES = ("sequential", "synchronous", "asynchronous")
 _PLACEMENTS = ("uniform", "proportional", "calibrated")
 _PARTITIONS = ("bands", "interleaved", "permuted", "schwarz")
+
+#: The overlap rule's candidates beyond 0: a band's ``n // L`` rows over
+#: each divisor, tried in increasing order of overlap.
+_OVERLAP_LADDER = (8, 4, 2)
+#: A probe stops once its diff falls below this (from a start of
+#: max-norm ~1), or after this many rounds.
+_PROBE_DROP, _PROBE_ROUNDS = 1e-2, 24
+#: Matrices whose chosen overlap one facade remembers.
+_OVERLAP_MEMO = 64
 
 
 class MultisplittingSolver:
@@ -71,10 +84,22 @@ class MultisplittingSolver:
         on different clusters" announced in the paper's conclusion.
     overlap:
         Indices annexed on each side of every band -- or of every owned
-        chunk, for interleaved layouts (Figure 3's knob).  ``None`` (the
-        default) means unspecified: band strategies read it as 0, the
-        schwarz strategy substitutes its own default; an explicit value
-        (including 0) is honoured verbatim by every strategy.
+        chunk, for interleaved layouts (Figure 3's knob).  An explicit
+        value (including 0) is honoured verbatim by every strategy.
+        ``None`` (the default) means unspecified.  In ``"sequential"``
+        mode with ``"bands"`` and no ``placement`` it means *chosen*:
+        once per matrix (memoised on its content fingerprint, ``L`` and
+        the kernel) the facade prices overlap 0 as factor flops plus
+        predicted rounds x solve flops per round, and when the rounds
+        outweigh the factors prices the overlaps ``n / (8L)``,
+        ``n / (4L)``, ``n / (2L)`` in turn while the price falls.
+        Rounds come from the contraction of a short probe of the
+        homogeneous iteration (``b = 0``, fixed start), so the choice
+        depends on ``A``, ``L``, the kernel, the weighting and the
+        tolerance only: never on ``b``, the clock or the backend, and
+        ``2^e A`` chooses what ``A`` does.  Elsewhere band strategies
+        read ``None`` as 0 and the schwarz strategy substitutes its own
+        default.
     partition_strategy:
         Shape of the decomposition (the paper's Remarks 2-3 generality):
 
@@ -237,6 +262,10 @@ class MultisplittingSolver:
         # overlap sweep's zero baseline really runs with zero overlap.
         self._overlap_given = overlap is not None
         self.overlap = 0 if overlap is None else overlap
+        self._overlap_chosen = (
+            not self._overlap_given and mode == "sequential"
+            and partition_strategy == "bands" and placement is None
+        )
         self.weighting = weighting
         self.partition_strategy = partition_strategy
         self.detection = detection
@@ -268,6 +297,10 @@ class MultisplittingSolver:
         # jitter the band sizes and defeat factor reuse across solves.
         # Guarded by ``_lock`` for concurrent solve() calls.
         self._calibrated_plans: dict = {}
+        #: The overlap rule's memo of chosen bands (insertion-ordered,
+        #: bounded), also guarded by ``_lock``: a warm solve pays one
+        #: fingerprint.
+        self._chosen_partitions: dict = {}
         default_consecutive = 1 if mode != "asynchronous" else 3
         if max_iterations is None:
             # Asynchronous runs legitimately take many more (cheap, local)
@@ -481,8 +514,14 @@ class MultisplittingSolver:
         if trace is None:
             trace = self.trace
         if self.mode == "sequential":
-            layout = self._layout(A, partition=partition)
-            return self._iterate(A, b, layout, x0=x0, trace=trace)
+            # A cold solve may probe its overlap through the cache first
+            # (:meth:`_choose_partition`); the factors it makes there are
+            # this solve's, so their counters are too.
+            before = self.cache.stats.snapshot() if self.cache is not None else None
+            result = self._iterate(A, b, self._layout(A, partition=partition), x0=x0, trace=trace)
+            if before is not None and self._shares_cache():
+                result.cache_stats = self.cache.stats.since(before)
+            return result
 
         nprocs = self.processors or (len(cluster.hosts) if cluster is not None else 4)
         if cluster is None:
@@ -530,9 +569,118 @@ class MultisplittingSolver:
         """
         n = A.shape[0]
         nprocs = nprocs or self.processors or 4
+        if self._overlap_chosen and partition is None:
+            part = self._chosen_partition(A, nprocs)
+            return None, part, self._resolve_weighting(part)
         plan = self._resolve_plan(A, n, cluster, nprocs) if partition is None else None
         plan, part = self._plan_and_partition(plan, partition, n, cluster, nprocs)
         return plan, part, self._resolve_weighting(part)
+
+    def chosen_overlap(self, A) -> int:
+        """The overlap a sequential solve of ``A`` annexes to each band.
+
+        ``overlap`` when it was given (or when the overlap rule does not
+        apply), else the rule's choice for ``A``, memoised like a solve's.
+        """
+        if not self._overlap_chosen:
+            return self.overlap
+        part = self._layout(A)[1]
+        return int(part.sets[0].size - part.core[0].size)
+
+    def _shares_cache(self) -> bool:
+        """Whether this thread's backend factors through :attr:`cache`."""
+        from repro.runtime.api import InProcessExecutor
+
+        return isinstance(self._get_executor(), InProcessExecutor)
+
+    def _chosen_partition(self, A, nprocs: int) -> GeneralPartition:
+        """The bands at the overlap rule's choice for ``A``, memoised."""
+        kernel = self.direct_solver
+        kernels = kernel if isinstance(kernel, list) else [kernel]
+        key = (matrix_fingerprint(A), nprocs, tuple(map(solver_fingerprint, kernels)))
+        with self._lock:
+            part = self._chosen_partitions.get(key)
+        if part is None:
+            part = self._choose_partition(A, nprocs)
+            with self._lock:
+                part = self._chosen_partitions.setdefault(key, part)
+                if len(self._chosen_partitions) > _OVERLAP_MEMO:
+                    del self._chosen_partitions[next(iter(self._chosen_partitions))]
+        return part
+
+    def _choose_partition(self, A, L: int) -> GeneralPartition:
+        """Price overlap 0, then the ladder while rounds dominate; cheapest wins.
+
+        The price of an overlap is factor flops plus predicted rounds x
+        solve flops per round, both from
+        :func:`~repro.direct.costs.sparse_factor_cost` on each band's
+        pattern.  Rounds are ``log(tol) / log(contraction)`` of the
+        homogeneous iteration (``b = 0``) from a smooth, seeded start,
+        probed for up to ``_PROBE_ROUNDS`` rounds; at overlap 0 the
+        probe ends after 4 when the rounds cost under half the factors.
+        When the backend shares :attr:`cache`, overlap 0 is probed
+        through it and, if it wins, its slices are handed to the solve:
+        the probe's factors and slices are the solve's.  If it loses,
+        its factors leave the cache again.  Every other probe factors
+        into a private cache that dies with it.
+        """
+        from repro.runtime.inline import InlineExecutor
+
+        csr = as_csr(A)
+        n = csr.shape[0]
+        kernels = self.direct_solver
+        if not isinstance(kernels, list):
+            kernels = [kernels] * L
+        start = 1.0 + 1e-3 * np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        shared = self.cache if self._shares_cache() else None
+
+        def price(overlap: int, cache, first: int = _PROBE_ROUNDS):
+            """``(factor flops + predicted rounds x solve flops, bands, slices)``."""
+            part = uniform_bands(n, L, overlap=overlap).to_general()
+            slices = [slice_local_system(csr, J, l) for l, J in enumerate(part.sets)]
+            for sliced, kernel in zip(slices, kernels):
+                sliced.cache_key = cache.key_for(kernel, sliced.a_sub)
+            costs = [sparse_factor_cost(s.rows.size, s.a_sub.nnz) for s in slices]
+            factor = sum(c.factor_flops for c in costs)
+            per_round = sum(c.solve_flops for c in costs)
+            probe = InlineExecutor()
+            x, history = start, []
+            for rounds in (first, _PROBE_ROUNDS - first):
+                probe.hand_over(csr, part.sets, slices)
+                run = multisplitting_iterate(
+                    csr, np.zeros(n), part, self._resolve_weighting(part),
+                    self.direct_solver, x0=x, cache=cache, executor=probe,
+                    stopping=StoppingCriterion(_PROBE_DROP, max_iterations=rounds),
+                )
+                x, history = run.x, history + run.history
+                c = observed_contraction(history)
+                if c is None or c == 0.0:
+                    predicted = 1.0
+                else:
+                    predicted = math.log(self.stopping.tolerance) / math.log(c) if c < 1 else math.inf
+                spent = per_round * predicted
+                # Early rounds also carry the fast modes and understate
+                # the rounds; only a clear margin ends the look early.
+                if run.converged or rounds == _PROBE_ROUNDS or 2 * spent <= factor:
+                    break
+            return factor + spent, spent > factor, part, slices
+
+        zero = price(0, FactorizationCache() if shared is None else shared, first=4)
+        best, round_bound, part, _ = zero
+        for divisor in _OVERLAP_LADDER if round_bound else ():
+            overlap = (n // L) // divisor
+            if not overlap:
+                continue
+            cost, _, candidate, _ = price(overlap, FactorizationCache())
+            if cost >= best:
+                break
+            best, part = cost, candidate
+        if shared is not None and part is zero[2]:
+            self._get_executor().hand_over(A, part.sets, zero[3])
+        elif shared is not None:
+            for sliced in zero[3]:
+                shared.invalidate(sliced.cache_key)
+        return part
 
     def _iterate(self, A, b, layout, *, x0=None, trace=None) -> SolveResult:
         """The in-process iteration of ``A x = b`` over a :meth:`_layout` of ``A``."""

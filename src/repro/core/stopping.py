@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.linalg.norms import max_norm
 
-__all__ = ["StoppingCriterion", "LocalConvergenceState"]
+__all__ = ["StoppingCriterion", "LocalConvergenceState", "observed_contraction"]
 
 
 @dataclass(frozen=True)
@@ -99,3 +99,20 @@ class LocalConvergenceState:
     def converged(self) -> bool:
         """True when the streak requirement is met."""
         return self.streak >= self.criterion.consecutive
+
+
+def observed_contraction(history) -> float | None:
+    """The contraction factor per round that a monitor ``history`` shows.
+
+    The geometric mean of the round-to-round ratios over the second half
+    of the history: a linear iteration's early rounds also carry fast
+    modes, its tail only the slowest one, which sets how many rounds a
+    run takes (about ``log(tol) / log(contraction)`` from a unit start).
+    ``None`` below 3 rounds; ``0.0`` once the monitor reached zero.
+    """
+    if len(history) < 3:
+        return None
+    mid = len(history) // 2
+    if history[mid] == 0.0:
+        return 0.0
+    return float((history[-1] / history[mid]) ** (1.0 / (len(history) - 1 - mid)))

@@ -225,7 +225,8 @@ class MetricsRegistry:
     def ingest_result(self, result) -> None:
         """Fold a finished solve (:class:`repro.core.result.SolveResult`) in.
 
-        Run counters land under ``repro_solve_*``; the result's
+        Run counters land under ``repro_solve_*`` (with the gauge
+        ``repro_solve_contraction`` for an in-process run); the result's
         ``cache_stats``, ``fault_stats``
         (:class:`repro.runtime.resilience.FaultStats`) and ``wire`` (an
         executor's ``wire_stats()`` dict) under ``repro_cache_*``,
@@ -234,6 +235,9 @@ class MetricsRegistry:
         prefix = "repro_solve"
         self.counter(f"{prefix}_runs_total").inc()
         self.counter(f"{prefix}_iterations_total").inc(result.iterations)
+        if result.contraction is not None:
+            # A rate, not a count: the last solve's, as a gauge.
+            self.gauge(f"{prefix}_contraction").set(result.contraction)
         self.counter(
             f"{prefix}_runs_by_backend_total", labels={"backend": result.backend}
         ).inc()

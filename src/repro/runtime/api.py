@@ -352,13 +352,16 @@ class InProcessExecutor(Executor):
         """
         self._handed = (A, sets, slices)
 
+    def handed(self, A, sets):
+        """The slices a pending :meth:`hand_over` holds for ``(A, sets)``, else ``None``."""
+        of_A, of_sets, slices = self._handed
+        return slices if of_A is A and of_sets is sets else None
+
     def attach(
         self, A, b, sets, solver, *, cache=None, placement=None, fault_policy=None
     ) -> None:
         self.detach()
-        (of_A, of_sets, slices), self._handed = self._handed, (None, None, None)
-        if of_A is not A or of_sets is not sets:
-            slices = None
+        slices, self._handed = self.handed(A, sets), (None, None, None)
         self._check_placement(placement, len(sets))
         self._placement = placement
         self._fault_policy = fault_policy  # recorded; in-process blocks cannot be lost

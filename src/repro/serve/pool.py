@@ -143,8 +143,14 @@ class SolverPool:
         return list(self._tenants)
 
     # -- solving ---------------------------------------------------------
-    def _sliced(self, tenant: _Tenant, sets) -> list[BandSlice]:
-        """``tenant``'s band slices over ``sets`` with their cache keys, made once."""
+    def _sliced(self, tenant: _Tenant, sets, executor) -> list[BandSlice]:
+        """``tenant``'s band slices over ``sets`` with their cache keys, made once.
+
+        A cold layout may have sliced them already: the overlap rule
+        hands the bands it probed on to ``executor``.
+        """
+        if tenant.slices is None:
+            tenant.slices = executor.handed(tenant.A, sets)
         if tenant.slices is None:
             csr = as_csr(tenant.A)
             kernels = self.solver.direct_solver
@@ -175,7 +181,7 @@ class SolverPool:
             if isinstance(executor, InProcessExecutor):
                 # A fleet slices and ships bands at attach as ever; an
                 # in-process backend takes them ready-made.
-                executor.hand_over(tenant.A, sets, self._sliced(tenant, sets))
+                executor.hand_over(tenant.A, sets, self._sliced(tenant, sets, executor))
             result = solver._iterate(tenant.A, B, tenant.layout, trace=solver.trace)
         if not result.converged:
             raise RuntimeError(

@@ -245,8 +245,11 @@ class TestTheRealPathNeverReadsStats:
         np.testing.assert_array_equal(cold.x, warm.x)
         # The counters the ledger reads: one miss per band cold, then one
         # hit per band per round; warm adds the attach's own hit per band.
+        # Inline, a cold solve's overlap probe (overlap=None) adds 4
+        # rounds on the same factors and the attach that finds them.
+        probe_hits = 20 if backend == "inline" else 0
         assert cold.iterations == warm.iterations == 17
-        assert (cold.cache_stats.misses, cold.cache_stats.hits) == (4, 68)
+        assert (cold.cache_stats.misses, cold.cache_stats.hits) == (4, 68 + probe_hits)
         assert (warm.cache_stats.misses, warm.cache_stats.hits) == (0, 72)
 
     def test_solver_pool_batch(self, monkeypatch):

@@ -280,7 +280,7 @@ class TestSolverFacadeBackend:
         rng = np.random.default_rng(0)
         options = dict(
             processors=6, mode="sequential", direct_solver="dense",
-            max_iterations=100,
+            max_iterations=100, overlap=0,
         )
         inline = MultisplittingSolver(**options)
         with MultisplittingSolver(backend="threads", **options) as threads:
