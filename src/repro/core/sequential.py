@@ -127,11 +127,12 @@ def multisplitting_iterate(
         ``True`` or a pre-built
         :class:`repro.schedule.ElasticController`: arm the elastic
         re-planning loop.  Once per round, at the quiescent barrier,
-        the controller reacts to fleet membership changes
-        (``Executor.grow`` / ``Executor.shrink``, a recovery) by
-        re-balancing the block-to-worker assignment and migrating only
-        the moved blocks.  Partition sizes never change, so iterates
-        stay bit-identical to the undisturbed run.  Migration counters
+        the controller reacts to fleet membership changes (the fleet's
+        ``grow`` / ``shrink``, a recovery) by re-balancing the
+        block-to-worker assignment and migrating only the moved blocks.
+        Partition sizes never change, so iterates stay bit-identical to
+        the undisturbed run.  An executor with no fleet (inline,
+        threads) runs the plain barrier.  Migration counters
         land on ``fault_stats`` (``grow_events`` / ``shrink_events`` /
         ``blocks_migrated`` / ``migration_seconds``).
     """

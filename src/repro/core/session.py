@@ -62,16 +62,22 @@ def _resolve_elastic(elastic, ex, nblocks: int, tracer):
     """Build the per-run elastic controller (or rebase a pre-built one).
 
     ``elastic`` is ``None``, ``False``, ``True`` or a
-    :class:`repro.schedule.ElasticController`.  Called *after* attach on
-    purpose: the controller takes the executor's membership version and
+    :class:`repro.schedule.ElasticController`.  Membership is a fleet's
+    alone, so any executor but a fleet or a chaos wrapper of one
+    (inline, threads, a wrapper of either) gets no controller: the run
+    is the plain barrier.  Called *after* attach on purpose: the
+    controller takes the executor's membership version and
     block-seconds baseline as "unchanged" then, so the version bump of
     attach itself (or of a previous run) never reads as churn.
     """
     if elastic is None or elastic is False:
         return None
-    # Lazy: repro.schedule builds on repro.core (same idiom as above).
+    # Lazy: repro.runtime and repro.schedule build on repro.core.
+    from repro.runtime.resilience import has_fleet
     from repro.schedule.elastic import ElasticController
 
+    if not has_fleet(ex):
+        return None
     if isinstance(elastic, ElasticController):
         elastic.rebase()
         return elastic

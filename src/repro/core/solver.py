@@ -203,10 +203,11 @@ class MultisplittingSolver:
         ``True`` or a :class:`repro.schedule.ElasticController`: arm
         elastic re-planning in sequential mode (forwarded to
         :func:`repro.core.sequential.multisplitting_iterate` -- the
-        fleet may :meth:`~repro.runtime.Executor.grow` and
-        :meth:`~repro.runtime.Executor.shrink` mid-solve, with moved
-        blocks migrated at quiescent round boundaries).  The simulated
-        distributed modes have no live fleet and ignore the flag.
+        fleet may :meth:`~repro.runtime.fleet.FleetExecutor.grow` and
+        :meth:`~repro.runtime.fleet.FleetExecutor.shrink` mid-solve,
+        with moved blocks migrated at quiescent round boundaries).  The
+        in-process backends and the simulated distributed modes have no
+        live fleet and ignore the flag.
     """
 
     def __init__(

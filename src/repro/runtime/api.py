@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import abc
 import time
-import warnings
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
@@ -86,6 +85,12 @@ class Executor(abc.ABC):
     a long-lived :class:`~repro.core.solver.MultisplittingSolver` with a
     process backend pay the spawn cost once).  Executors are context
     managers; ``with`` closes them.
+
+    The contract has no worker membership.  Only the fleets
+    (:class:`~repro.runtime.fleet.FleetExecutor`: processes, sockets)
+    have workers to lose, add or retire, so ``alive_workers``,
+    ``kill_worker``, ``grow``, ``shrink``, ``migrate``, ``owner_map``
+    and ``membership_version`` are defined there and nowhere else.
     """
 
     #: Registry/display name of the backend ("inline", "threads", ...).
@@ -143,7 +148,7 @@ class Executor(abc.ABC):
         arms mid-solve recovery on backends with real workers: a worker
         that dies (or misses the policy's reply deadline) has its blocks
         requeued onto survivors -- or a respawned replacement -- instead
-        of failing the run.  Backends without separate workers record
+        of failing the run.  Backends without separate workers accept
         and ignore it (there is nothing to lose).
         """
 
@@ -237,75 +242,6 @@ class Executor(abc.ABC):
         """Number of blocks in the current binding (0 when detached)."""
         return 0
 
-    # -- elastic membership ----------------------------------------------
-    def membership_version(self) -> int:
-        """Monotone counter bumped whenever fleet membership changes.
-
-        Grow, shrink, and mid-solve recovery (a worker lost and its
-        blocks re-homed) each bump it, so an elastic re-planning loop
-        can detect "the fleet changed since I last planned" with one
-        integer compare per round.  Backends without separate workers
-        never change membership and always return 0.
-        """
-        return 0
-
-    def grow(self, workers=1) -> list[int]:
-        """Add workers to the fleet mid-binding; returns the new ranks.
-
-        ``workers`` is a count of backend-owned workers to spawn, or (for
-        backends that can reach remote machines) a sequence of host
-        addresses to connect to.  New workers come up idle -- they own no
-        blocks until :meth:`migrate` (or the elastic re-planning loop)
-        assigns them some.  Backends without separate workers have
-        nothing to grow: the default warns and returns ``[]``.
-        """
-        warnings.warn(
-            f"{type(self).__name__} has no separate workers; grow() is a no-op",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return []
-
-    def shrink(self, workers) -> list[int]:
-        """Gracefully retire workers; returns the ranks actually retired.
-
-        ``workers`` is a sequence of worker ranks.  Unlike a crash, a
-        shrink is *planned*: the retiring workers' owned blocks are
-        re-homed onto survivors via the adopt path first (counted as
-        migrations, not faults), their cache counters are folded into
-        the aggregate so :meth:`run_cache_stats` stays monotonic, and
-        only then do they exit.  At least one worker must survive.
-        Backends without separate workers warn and return ``[]``.
-        """
-        warnings.warn(
-            f"{type(self).__name__} has no separate workers; shrink() is a no-op",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return []
-
-    def migrate(self, assignment: dict) -> int:
-        """Re-home blocks per ``assignment`` (block -> worker rank).
-
-        Diffs the desired assignment against the live owner map and
-        moves **only the changed blocks**, shipping each gaining worker
-        one adopt payload (re-factoring through the adopter's cache --
-        iterates are unaffected because a block solve is a pure function
-        of ``(block, z)``).  Must be called at a quiescent point (no
-        solves in flight).  Returns the number of blocks moved; backends
-        without worker identity return 0.
-        """
-        return 0
-
-    def owner_map(self) -> dict:
-        """The live block-to-worker assignment (block -> worker rank).
-
-        The plan the elastic re-planner diffs a fresh assignment
-        against.  A copy: mutating it changes nothing.  Backends
-        without worker identity return ``{}``.
-        """
-        return {}
-
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
         """Tear down any worker pool.  Implies :meth:`detach`."""
@@ -335,8 +271,6 @@ class InProcessExecutor(Executor):
         self._cache: FactorizationCache | None = None
         self._cache_before: CacheStats | None = None
         self._block_seconds: dict[int, float] = {}
-        self._placement = None
-        self._fault_policy = None
         self._handed = (None, None, None)
 
     def hand_over(self, A, sets, slices) -> None:
@@ -363,8 +297,6 @@ class InProcessExecutor(Executor):
         self.detach()
         slices, self._handed = self.handed(A, sets), (None, None, None)
         self._check_placement(placement, len(sets))
-        self._placement = placement
-        self._fault_policy = fault_policy  # recorded; in-process blocks cannot be lost
         self._cache = cache
         self._cache_before = cache.stats.snapshot() if cache is not None else None
         tracer = self._tracer
@@ -389,8 +321,6 @@ class InProcessExecutor(Executor):
         self._systems = None
         self._cache = None
         self._cache_before = None
-        self._placement = None
-        self._fault_policy = None
 
     @property
     def systems(self) -> list[LocalSystem]:

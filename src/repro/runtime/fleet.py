@@ -813,9 +813,21 @@ class FleetExecutor(Executor):
 
     # -- elastic membership ----------------------------------------------
     def membership_version(self) -> int:
+        """Monotone counter bumped whenever fleet membership changes.
+
+        Attach, grow, shrink, and mid-solve recovery (a worker lost and
+        its blocks re-homed) each bump it, so an elastic re-planning
+        loop detects "the fleet changed since I last planned" with one
+        integer compare per round.
+        """
         return self._membership_version
 
     def owner_map(self) -> dict:
+        """The live block-to-worker assignment (block -> worker rank).
+
+        The plan the elastic re-planner diffs a fresh assignment
+        against.  A copy: mutating it changes nothing.
+        """
         return dict(self._owner)
 
     def grow(self, workers=1) -> list[int]:

@@ -27,13 +27,12 @@ subsystem:
   factor-cache counters.
 * :class:`FaultInjector` / :class:`ChaosExecutor` -- a deterministic
   (seeded) fault-injection wrapper that conforms to the
-  :class:`~repro.runtime.api.Executor` contract and injects crashes,
-  delays, and dropped replies into *any* backend.  Backends with real
-  worker processes (processes, sockets) get their workers actually
-  killed and recover through their own machinery; in-process backends
-  (inline, threads) get the same fault schedule *emulated* at the
-  contract boundary, so one conformance suite exercises all four
-  backends with identical expected counters.
+  :class:`~repro.runtime.api.Executor` contract.  Delays and dropped
+  replies are real on any backend.  Crashes and membership churn need
+  workers, which only the fleets (processes, sockets) have: their
+  workers are actually killed, spawned or retired, and recover through
+  the fleet's own machinery.  Over inline or threads the wrapper
+  refuses such a schedule at attach.
 * :class:`FlakySolver` -- a kernel wrapper that fails scheduled solves,
   for injecting faults below the executor layer (a kernel error on a
   fleet worker, the error seams of the drivers and the gateway).
@@ -99,12 +98,12 @@ class FaultStats:
         Chaos-harness counters: artificial stalls and solve replies
         discarded (and re-requested) by :class:`ChaosExecutor`.
     grow_events / shrink_events:
-        Planned membership changes (:meth:`~repro.runtime.api.Executor.grow`
-        / :meth:`~repro.runtime.api.Executor.shrink`).  Elastic by
+        Planned membership changes (:meth:`~repro.runtime.fleet.FleetExecutor.grow`
+        / :meth:`~repro.runtime.fleet.FleetExecutor.shrink`).  Elastic by
         design, **not** faults: they never flip :attr:`any_faults`.
     blocks_migrated:
         Block ownerships moved by planned migration (shrink re-homing or
-        an elastic re-plan's :meth:`~repro.runtime.api.Executor.migrate`)
+        an elastic re-plan's :meth:`~repro.runtime.fleet.FleetExecutor.migrate`)
         -- distinct from ``blocks_requeued``, which counts *fault*
         recovery.
     migration_seconds:
@@ -229,8 +228,8 @@ def reassign_orphans(
     narrows the candidate ranks per block (the fleet backends prefer
     the dead worker's co-location group).  This single definition is
     what makes the recovery counters -- and the conformance suite's
-    exact cross-backend asserts -- deterministic: real and emulated
-    crashes route through the same rule.
+    exact cross-backend asserts -- deterministic: crash recovery and
+    planned shrinks route through the same rule.
     """
     live = list(live)
     if not live:
@@ -332,6 +331,14 @@ class FaultInjector:
         """Crash events injected since the last :meth:`reset`."""
         return self._crashes
 
+    def changes_membership(self) -> bool:
+        """Whether the schedule can crash, add or retire a worker.
+
+        Such a schedule needs a fleet; delays and drops do not.
+        """
+        crashes = bool(self.crash_rounds or self.crash_rate) and self.max_crashes > 0
+        return crashes or bool(self.grow_rounds or self.shrink_rounds)
+
     def events_for(
         self, round_index: int, live_workers: Sequence[int], blocks: Sequence[int]
     ) -> list[FaultEvent]:
@@ -383,8 +390,19 @@ class FaultInjector:
 # ---------------------------------------------------------------------------
 
 
-#: Emulated fleet size of an in-process backend bound without a plan.
-_VIRTUAL_WORKERS = 2
+def has_fleet(executor) -> bool:
+    """Whether ``executor`` runs its blocks on a fleet's workers.
+
+    True for the fleets (processes, sockets) and a :class:`ChaosExecutor`
+    over one; False for inline, threads and any other wrapper.  Worker
+    membership -- crash and churn injection, elastic re-planning -- is a
+    fleet's alone.
+    """
+    from repro.runtime.fleet import FleetExecutor  # fleet imports this module
+
+    if isinstance(executor, ChaosExecutor):
+        executor = executor.inner
+    return isinstance(executor, FleetExecutor)
 
 
 class ChaosExecutor(Executor):
@@ -394,27 +412,26 @@ class ChaosExecutor(Executor):
     so it drops into ``executor=`` anywhere an executor goes.  Per solve
     round it asks the injector which faults fire:
 
-    * **crash** -- backends exposing real workers (``kill_worker`` /
-      ``alive_workers``: processes, sockets) get the victim actually
-      killed, and their own :class:`FaultPolicy` recovery requeues the
-      orphaned blocks; in-process backends get the crash *emulated*:
-      the wrapper keeps its own virtual block-to-worker map, discards
-      the victim's round results, reassigns its blocks, and re-requests
-      the solves (bit-identical by purity).  Both paths report the same
-      counters for the same schedule.
-    * **delay** -- a bounded artificial stall before dispatch.
+    * **crash** -- the victim worker is actually killed before the round
+      is dispatched, and the fleet's own :class:`FaultPolicy` recovery
+      requeues its blocks;
+    * **grow** / **shrink** -- the fleet spawns a worker or retires the
+      victim: planned churn, counted as such and never as a fault;
+    * **delay** -- a bounded artificial stall before dispatch;
     * **drop** -- one block's reply is discarded and re-requested, the
       "lost message" of the paper's asynchronous setting.
 
-    A real kill is sent before the round is dispatched, so the counters
-    are a function of the seeded schedule alone.  An attach without a
-    ``fault_policy`` gets a plain :class:`FaultPolicy`; an in-process
-    backend without a placement is emulated as a fleet of two ranks
-    holding the blocks round-robin.
+    Crashes and churn need workers, which only the fleets (processes,
+    sockets) have: over any other backend :meth:`attach` raises
+    ``ValueError`` for a schedule that can crash, grow or shrink, before
+    anything is factored.  Delays and drops run on every backend.  The
+    counters are a function of the seeded schedule alone.  An attach
+    without a ``fault_policy`` gets a plain :class:`FaultPolicy`.
 
     ``fault_stats()`` merges the wrapper's own counters with the inner
-    backend's, so the drivers see one coherent record.  ``close()``
-    closes the wrapped backend (the wrapper owns the handle it is given).
+    backend's, so the drivers see one coherent record.  The membership
+    verbs forward to the fleet.  ``close()`` closes the wrapped backend
+    (the wrapper owns the handle it is given).
     """
 
     def __init__(self, inner: Executor, injector: FaultInjector | None = None):
@@ -423,97 +440,39 @@ class ChaosExecutor(Executor):
         self.name = f"chaos:{inner.name}"
         self._round = 0
         self._fault = FaultStats()
-        self._virtual = not self._inner_killable()
-        self._vowner: dict[int, int] = {}
-        self._vlive: list[int] = []
-        self._vmembership = 0
-
-    def _inner_killable(self) -> bool:
-        return hasattr(self.inner, "kill_worker") and hasattr(
-            self.inner, "alive_workers"
-        )
+        self._fleet = has_fleet(inner)
 
     # -- binding ---------------------------------------------------------
     def attach(
         self, A, b, sets, solver, *, cache=None, placement=None, fault_policy=None
     ) -> None:
+        if self.injector.changes_membership() and not self._fleet:
+            raise ValueError(
+                f"the {self.inner.name!r} backend has no workers to crash, grow "
+                "or shrink: those faults need a fleet (processes, sockets); "
+                "delays and drops run on any backend"
+            )
         # Injecting faults without a recovery contract would just crash
         # the run; default to plain requeue-on-survivors.
         policy = fault_policy if fault_policy is not None else FaultPolicy()
         self.inner.attach(
             A, b, sets, solver, cache=cache, placement=placement, fault_policy=policy
         )
-        self._policy = policy
         self._round = 0
         self._fault = FaultStats()
         self.injector.reset()
-        self._virtual = not self._inner_killable()
-        if self._virtual:
-            L = len(sets)
-            if placement is not None:
-                self._vlive = list(range(placement.nworkers))
-                self._vowner = {l: int(placement.assignment[l]) for l in range(L)}
-            else:
-                W = max(1, min(_VIRTUAL_WORKERS, L))
-                self._vlive = list(range(W))
-                self._vowner = {l: l % W for l in range(L)}
 
     def detach(self) -> None:
         self.inner.detach()
 
     # -- fault application ----------------------------------------------
-    def _live_workers(self) -> list[int]:
-        if self._virtual:
-            return list(self._vlive)
-        return list(self.inner.alive_workers())
-
-    def _virtual_crash(self, worker: int) -> list[int]:
-        """Emulate losing ``worker``: reassign its blocks, count the loss."""
-        self._vlive = [w for w in self._vlive if w != worker]
-        orphans = sorted(l for l, w in self._vowner.items() if w == worker)
-        self._fault.workers_lost += 1
-        if self._policy.respawn:
-            new = max(self._vowner.values(), default=-1) + 1
-            replacement = max(new, max(self._vlive, default=-1) + 1)
-            self._vlive.append(replacement)
-            self._fault.respawns += 1
-            for l in orphans:
-                self._vowner[l] = replacement
-        else:
-            self._vowner.update(reassign_orphans(orphans, self._vowner, self._vlive))
-        self._fault.blocks_requeued += len(orphans)
-        self._vmembership += 1
-        return orphans
-
-    def _virtual_grow(self) -> list[int]:
-        """Emulate a join: a fresh (idle) rank appears in the fleet."""
-        new = max(
-            max(self._vlive, default=-1),
-            max(self._vowner.values(), default=-1),
-        ) + 1
-        self._vlive.append(new)
-        self._fault.grow_events += 1
-        self._vmembership += 1
-        return [new]
-
-    def _virtual_shrink(self, worker: int) -> list[int]:
-        """Emulate a planned retirement: migrate, do not count a fault."""
-        if worker not in self._vlive or len(self._vlive) <= 1:
-            return []
-        self._vlive = [w for w in self._vlive if w != worker]
-        orphans = sorted(l for l, w in self._vowner.items() if w == worker)
-        self._vowner.update(reassign_orphans(orphans, self._vowner, self._vlive))
-        self._fault.shrink_events += 1
-        self._fault.blocks_migrated += len(orphans)
-        self._vmembership += 1
-        return [worker]
-
     def solve_blocks(
         self, tasks: Sequence[tuple[int, np.ndarray]]
     ) -> list[np.ndarray]:
         self._round += 1
         blocks = [l for l, _ in tasks]
-        events = self.injector.events_for(self._round, self._live_workers(), blocks)
+        live = self.inner.alive_workers() if self._fleet else []
+        events = self.injector.events_for(self._round, live, blocks)
         tracer = self._tracer
         for ev in events:
             if ev.kind == "delay":
@@ -524,7 +483,6 @@ class ChaosExecutor(Executor):
                     )
                 time.sleep(ev.seconds)
                 self._fault.delays_injected += 1
-        orphaned: set[int] = set()
         for ev in events:
             if ev.kind == "crash":
                 if tracer is not None:
@@ -532,10 +490,7 @@ class ChaosExecutor(Executor):
                         "chaos.crash", cat="fault", lane="driver",
                         round=self._round, worker=ev.worker,
                     )
-                if self._virtual:
-                    orphaned.update(self._virtual_crash(ev.worker))
-                else:
-                    self.inner.kill_worker(ev.worker)
+                self.inner.kill_worker(ev.worker)
             elif ev.kind == "grow":
                 if tracer is not None:
                     tracer.event(
@@ -552,13 +507,6 @@ class ChaosExecutor(Executor):
                 self.shrink([ev.worker])
         pieces = list(self.inner.solve_blocks(tasks))
         index_of = {l: i for i, (l, _) in enumerate(tasks)}
-        # Emulated crash: the victim's round replies are "lost" -- discard
-        # and re-request them (purity makes the rerun bit-identical).
-        redo = sorted(orphaned & set(blocks))
-        if redo:
-            reruns = self.inner.solve_blocks([tasks[index_of[l]] for l in redo])
-            for l, piece in zip(redo, reruns):
-                pieces[index_of[l]] = piece
         for ev in events:
             if ev.kind == "drop" and ev.block in index_of:
                 if tracer is not None:
@@ -595,46 +543,23 @@ class ChaosExecutor(Executor):
         merged.merge_in(self.inner.fault_stats())
         return merged
 
-    # -- elastic membership ----------------------------------------------
+    # -- worker membership (a fleet's; see has_fleet) ---------------------
     def membership_version(self) -> int:
-        return self.inner.membership_version() + self._vmembership
+        return self.inner.membership_version()
 
     def grow(self, workers=1) -> list[int]:
-        if self._virtual:
-            count = len(workers) if isinstance(workers, (list, tuple)) else int(workers)
-            added: list[int] = []
-            for _ in range(max(0, count)):
-                added.extend(self._virtual_grow())
-            return added
         return self.inner.grow(workers)
 
     def shrink(self, workers) -> list[int]:
-        if self._virtual:
-            retired: list[int] = []
-            for w in workers:
-                retired.extend(self._virtual_shrink(int(w)))
-            return retired
         return self.inner.shrink(workers)
 
     def migrate(self, assignment: dict) -> int:
-        if self._virtual:
-            moved = 0
-            for l, w in assignment.items():
-                w = int(w)
-                if w in self._vlive and self._vowner.get(l) not in (None, w):
-                    self._vowner[l] = w
-                    moved += 1
-            self._fault.blocks_migrated += moved
-            return moved
         return self.inner.migrate(assignment)
 
     def alive_workers(self) -> list[int]:
-        """Live ranks (virtual map for in-process backends)."""
-        return self._live_workers()
+        return self.inner.alive_workers()
 
     def owner_map(self) -> dict:
-        if self._virtual:
-            return dict(self._vowner)
         return self.inner.owner_map()
 
     @property

@@ -6,12 +6,18 @@ so the *splitting-to-worker* assignment may change between iterations as
 long as every block is solved by somebody each round.
 :class:`ElasticController` exploits exactly that freedom: once per round
 (at the quiescent barrier, where no solve is in flight) it compares the
-executor's ``membership_version()`` against the last one it saw.  When
+fleet's ``membership_version()`` against the last one it saw.  When
 the fleet changed (a grow, a shrink, a recovery) it computes a fresh
 block-to-worker assignment over the *live* fleet -- deterministic LPT
 greedy on the block solve seconds measured since its last replan --
-and ``Executor.migrate`` ships only the moved blocks (the ``adopt`` verb
-underneath: each adopter re-factors through its own cache).
+and the fleet's ``migrate`` ships only the moved blocks (the ``adopt``
+verb underneath: each adopter re-factors through its own cache).
+
+Membership is a fleet's alone (processes, sockets, or a chaos wrapper
+of one): the controller calls the fleet's membership verbs directly.
+A run whose executor has no fleet gets no controller at all -- that
+decision is :func:`repro.core.session._resolve_elastic`'s -- and stays
+the plain barrier.
 
 Partition *sizes* are never changed mid-binding: a block solve is a pure
 function of ``(block, z)``, so moving blocks between workers keeps the
@@ -59,9 +65,9 @@ class ElasticController:
     quiescent round boundary (all pieces folded, nothing in flight).
     The controller is deliberately read-mostly: one integer compare per
     round in the steady state, with measurement and migration only when
-    the membership changed.  Executors without the elastic surface (no
-    ``membership_version`` / ``migrate``) make every call a no-op, so
-    drivers can wire the controller unconditionally.
+    the membership changed.  ``executor`` must have worker membership
+    (``membership_version``, ``block_seconds``, ``alive_workers``,
+    ``migrate``): a fleet, or a chaos wrapper of one.
     """
 
     def __init__(self, executor, nblocks: int, *, tracer=None):
@@ -79,16 +85,8 @@ class ElasticController:
         built before it: ``attach`` itself bumps the membership version,
         which is not churn.
         """
-        self._seen_version = self._version()
-        self._prev_seconds = self._seconds()
-
-    def _version(self) -> int:
-        fn = getattr(self.executor, "membership_version", None)
-        return int(fn()) if callable(fn) else 0
-
-    def _seconds(self) -> dict[int, float]:
-        fn = getattr(self.executor, "block_seconds", None)
-        return dict(fn()) if callable(fn) else {}
+        self._seen_version = self.executor.membership_version()
+        self._prev_seconds = self.executor.block_seconds()
 
     def _weights(self) -> dict[int, float]:
         """Per-block weights: measured seconds since the last replan.
@@ -97,7 +95,7 @@ class ElasticController:
         current fleet's actual speeds, so only the delta since the last
         replan matters; blocks with no signal yet weigh equally.
         """
-        now = self._seconds()
+        now = self.executor.block_seconds()
         delta = {
             l: max(now.get(l, 0.0) - self._prev_seconds.get(l, 0.0), 0.0)
             for l in range(self.nblocks)
@@ -112,19 +110,13 @@ class ElasticController:
 
         Returns the number of blocks migrated (0 when nothing changed).
         """
-        migrate = getattr(self.executor, "migrate", None)
-        owner_fn = getattr(self.executor, "owner_map", None)
-        alive_fn = getattr(self.executor, "alive_workers", None)
-        if not (callable(migrate) and callable(owner_fn) and callable(alive_fn)):
-            return 0
-        if self._version() == self._seen_version or not owner_fn():
+        ex = self.executor
+        if ex.membership_version() == self._seen_version:
             return 0
         weights = self._weights()
         self.rebase()
-        alive = list(alive_fn())
-        if not alive:
-            return 0
-        moved = int(migrate(balanced_assignment(weights, alive)))
+        alive = ex.alive_workers()
+        moved = ex.migrate(balanced_assignment(weights, alive))
         self.replans += 1
         self.blocks_moved += moved
         if self.tracer is not None:

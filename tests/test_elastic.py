@@ -8,8 +8,8 @@ never-disturbed inline run.  The conformance matrix asserts exactly
 that, across both distributed backends and every decomposition shape of
 the paper's Remarks 2-3.
 
-Around it: the no-op contract for fleetless executors, the deterministic
-LPT re-balancer, a controller built before the run that must not read
+Around it: membership is a fleet's alone (a fleetless executor runs the
+plain barrier under ``elastic=``), the deterministic LPT re-balancer, a controller built before the run that must not read
 attach as churn, migration accounting on ``FaultStats``, chaos-driven
 churn injection, and the kill-then-grow monotonicity of the wire/cache
 counters.
@@ -32,12 +32,14 @@ from repro.direct import get_solver
 from repro.direct.cache import FactorizationCache
 from repro.runtime import (
     ChaosExecutor,
+    Executor,
     FaultInjector,
     InlineExecutor,
     ProcessExecutor,
     SocketExecutor,
     ThreadExecutor,
 )
+from repro.runtime.resilience import has_fleet
 from repro.schedule import ElasticController, balanced_assignment
 
 BACKENDS = ("processes", "sockets")
@@ -74,20 +76,25 @@ def _general_problem(kind, n=96, L=4, seed=5):
 
 
 class TestNoOpContract:
-    """Executors without a separate fleet warn and return empty."""
+    """Membership is a fleet's: without one, ``elastic=`` is the barrier."""
 
-    @pytest.mark.parametrize("make", [InlineExecutor, ThreadExecutor])
-    def test_grow_shrink_warn_and_noop(self, make):
-        ex = make()
-        try:
-            with pytest.warns(RuntimeWarning, match="no-op"):
-                assert ex.grow(2) == []
-            with pytest.warns(RuntimeWarning, match="no-op"):
-                assert ex.shrink([0]) == []
-            assert ex.membership_version() == 0
-            assert ex.migrate({}) == 0
-            assert ex.owner_map() == {}
-        finally:
+    _VERBS = (
+        "alive_workers", "kill_worker", "grow", "shrink", "migrate",
+        "owner_map", "membership_version",
+    )
+
+    def test_membership_is_fleet_only(self):
+        for cls in (Executor, InlineExecutor, ThreadExecutor):
+            assert not [v for v in self._VERBS if hasattr(cls, v)], cls
+        for cls in (ProcessExecutor, SocketExecutor):
+            assert all(hasattr(cls, v) for v in self._VERBS), cls
+        for ex, fleet in (
+            (ProcessExecutor(max_workers=2), True),
+            (SocketExecutor(workers=2), True),
+            (InlineExecutor(), False),
+            (ThreadExecutor(max_workers=2), False),
+        ):
+            assert has_fleet(ex) is fleet and has_fleet(ChaosExecutor(ex)) is fleet
             ex.close()
 
     def test_elastic_without_a_fleet_is_the_plain_barrier(self):
@@ -100,6 +107,30 @@ class TestNoOpContract:
             A, b, part, scheme, get_solver("scipy"),
             stopping=stopping, elastic=True,
         )
+        assert res.converged
+        assert res.history == ref.history
+        np.testing.assert_array_equal(res.x, ref.x)
+
+
+    @pytest.mark.parametrize("make", [
+        lambda: ThreadExecutor(max_workers=2),
+        lambda: ChaosExecutor(InlineExecutor(), FaultInjector(seed=1, drop_rounds=(2,))),
+        lambda: ChaosExecutor(ThreadExecutor(max_workers=2), FaultInjector(seed=1)),
+    ], ids=["threads", "chaos:inline", "chaos:threads"])
+    def test_elastic_on_a_fleetless_executor_is_the_plain_barrier(self, make):
+        A, b, part, scheme = _general_problem("band", n=48, L=2)
+        stopping = StoppingCriterion(tolerance=1e-8)
+        ref = multisplitting_iterate(
+            A, b, part, scheme, get_solver("scipy"), stopping=stopping
+        )
+        ex = make()
+        try:
+            res = multisplitting_iterate(
+                A, b, part, scheme, get_solver("scipy"),
+                stopping=stopping, executor=ex, elastic=True,
+            )
+        finally:
+            ex.close()
         assert res.converged
         assert res.history == ref.history
         np.testing.assert_array_equal(res.x, ref.x)
@@ -256,14 +287,15 @@ class TestElasticConformance:
 class TestChaosChurn:
     """FaultInjector-driven grow/shrink: churn without touching iterates."""
 
-    def test_injected_churn_bit_identical(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_injected_churn_bit_identical(self, backend):
         A, b, part, scheme = _general_problem("band")
         stopping = StoppingCriterion(tolerance=1e-300, max_iterations=8)
         ref = multisplitting_iterate(
             A, b, part, scheme, get_solver("scipy"), stopping=stopping
         )
         inj = FaultInjector(seed=7, grow_rounds=(2,), shrink_rounds=(4,))
-        chaos = ChaosExecutor(InlineExecutor(), inj)
+        chaos = ChaosExecutor(_make_executor(backend), inj)
         try:
             res = multisplitting_iterate(
                 A, b, part, scheme, get_solver("scipy"),
@@ -277,9 +309,11 @@ class TestChaosChurn:
         assert fs.grow_events == 1 and fs.shrink_events == 1
         assert not fs.any_faults
 
-    def test_virtual_membership_version_advances(self):
+    def test_chaos_forwards_membership_to_the_fleet(self):
         A, b, part, scheme = _general_problem("band")
-        chaos = ChaosExecutor(InlineExecutor(), FaultInjector(seed=0))
+        chaos = ChaosExecutor(
+            _make_executor("processes", nworkers=2), FaultInjector(seed=0)
+        )
         try:
             chaos.attach(A, b, part.sets, get_solver("scipy"))
             v0 = chaos.membership_version()
@@ -289,9 +323,12 @@ class TestChaosChurn:
             retired = chaos.shrink(added)
             assert retired == added
             assert chaos.membership_version() == v0 + 2
-            # every block still owned by a live virtual worker
+            assert chaos.membership_version() == chaos.inner.membership_version()
+            # every block still owned by a live worker
             live = set(chaos.alive_workers())
             assert set(chaos.owner_map().values()) <= live
+            fs = chaos.fault_stats()
+            assert fs.grow_events == 1 and fs.shrink_events == 1
         finally:
             chaos.close()
 
@@ -321,18 +358,6 @@ class TestBalancedAssignment:
 
 
 class TestElasticController:
-    def test_controller_noop_without_elastic_surface(self):
-        """Wiring the controller over a fleetless executor costs nothing."""
-        A, b, part, scheme = _general_problem("band", n=48, L=2)
-        ex = InlineExecutor()
-        try:
-            ex.attach(A, b, part.sets, get_solver("scipy"))
-            ctrl = ElasticController(ex, part.nprocs)
-            assert ctrl.maybe_replan(0) == 0
-            assert ctrl.replans == 0
-        finally:
-            ex.close()
-
     def test_weights_are_seconds_since_the_last_replan(self):
         """A version bump re-balances on the block seconds measured since
         the previous replan: cumulative seconds would let the first

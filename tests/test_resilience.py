@@ -1,12 +1,13 @@
 """Unit tests of the fault-tolerance subsystem (repro.runtime.resilience).
 
-The conformance suite (tests/test_runtime_conformance.py) proves all
-four backends behave identically under one injected schedule; this file
+The conformance suite (tests/test_runtime_conformance.py) proves the
+backends behave identically under one injected schedule; this file
 drills into the machinery itself: direct worker kills without the chaos
 wrapper, deadline-based hung-worker recovery, respawn, loss budgets, the
 injector's determinism, the flaky/straggler kernels, the socket
-backend's band-rows-only attach payloads, and the calibrate satellite's
-outlier guard.
+backend's band-rows-only attach payloads, the calibrate satellite's
+outlier guard, and the chaos wrapper's refusal of crash and churn where
+there are no workers.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 from repro.core import make_weighting, multisplitting_iterate, uniform_bands
 from repro.core.stopping import StoppingCriterion
 from repro.direct import get_solver
+from repro.direct.base import DirectSolver
 from repro.linalg.sparse import as_csr
 from repro.matrices import diagonally_dominant, rhs_for_solution
 from repro.runtime import (
@@ -34,6 +36,7 @@ from repro.runtime import (
     SocketExecutor,
     StallOnceSolver,
     StragglerSolver,
+    ThreadExecutor,
 )
 from repro.schedule import Placement, WorkerSlot, measure_worker_speeds
 
@@ -876,3 +879,38 @@ class TestChaosWrapperContract:
         chaos.attach(A, b, part.sets, get_solver("scipy"))
         chaos.close()
         assert inner.nblocks == 0
+
+    @pytest.mark.parametrize("make", [InlineExecutor, ThreadExecutor])
+    @pytest.mark.parametrize("schedule", [
+        {"crash_rounds": (2,)},
+        {"grow_rounds": (1,)},
+        {"shrink_rounds": (3,)},
+        {"crash_rate": 0.1},
+    ], ids=["crash_rounds", "grow_rounds", "shrink_rounds", "crash_rate"])
+    def test_in_process_inner_refuses_membership_faults(self, make, schedule):
+        """No workers, nothing to crash, grow or shrink: the wrapper
+        refuses the schedule at attach, before anything is factored."""
+
+        class _NoFactor(DirectSolver):
+            name = "no-factor"
+
+            def factor(self, A):
+                raise AssertionError("factored before the refusal")
+
+        A, b, part, _ = _problem()
+        inner = make()
+        chaos = ChaosExecutor(
+            inner, FaultInjector(seed=0, drop_rounds=(1,), **schedule)
+        )
+        try:
+            with pytest.raises(ValueError, match=repr(inner.name)):
+                chaos.attach(A, b, part.sets, _NoFactor())
+            assert inner.nblocks == 0
+            # Delays and drops alone still run there.
+            chaos.injector = FaultInjector(seed=0, drop_rounds=(1,), delay_rounds=(1,))
+            chaos.attach(A, b, part.sets, get_solver("scipy"))
+            chaos.solve_round([np.zeros(b.shape)] * part.nprocs)
+            fs = chaos.fault_stats()
+            assert fs.replies_dropped == 1 and fs.delays_injected == 1
+        finally:
+            chaos.close()

@@ -39,6 +39,7 @@ from repro.direct.cache import FactorizationCache
 from repro.matrices import diagonally_dominant, rhs_for_solution
 from repro.runtime import (
     ChaosExecutor,
+    Executor,
     FaultInjector,
     FaultPolicy,
     ProcessExecutor,
@@ -48,6 +49,9 @@ from repro.runtime import (
 from repro.schedule import Placement, WorkerSlot
 
 BACKENDS = ("inline", "threads", "processes", "sockets")
+
+#: The backends with workers to lose: crash schedules run on these only.
+FLEETS = ("processes", "sockets")
 
 #: Constructor kwargs keeping worker pools small and spawns cheap.
 _KWARGS = {
@@ -631,17 +635,19 @@ class TestCrashSafety:
 _POLICY = FaultPolicy(heartbeat_interval=0.1)
 
 
+@pytest.mark.parametrize("backend", FLEETS)
 class TestFaultConformance:
-    """One fault schedule, four backends, identical observable outcomes.
+    """One fault schedule, both fleets, identical observable outcomes.
 
-    The :class:`ChaosExecutor` kills a worker mid-solve (really, for the
-    process/socket backends; emulated at the contract boundary for the
-    in-process ones), and every backend must (a) complete the run
-    through its recovery path, (b) keep synchronous iterates
-    bit-identical to the fault-free inline baseline, and (c) report the
-    exact counters the injected schedule implies: one worker lost, and
-    -- with 4 blocks round-robined over 2 workers -- exactly 2 blocks
-    requeued, on every backend.
+    The :class:`ChaosExecutor` really kills a worker mid-solve, and
+    each fleet must (a) complete the run through its recovery path,
+    (b) keep synchronous iterates bit-identical to the fault-free
+    inline baseline, and (c) report the exact counters the injected
+    schedule implies: one worker lost, and -- with 4 blocks
+    round-robined over 2 workers -- exactly 2 blocks requeued.  The
+    in-process backends have no workers to lose (the wrapper refuses a
+    crash schedule there); :class:`TestDelayDropConformance` runs the
+    faults they do have.
     """
 
     def _chaos(self, backend, injector):
@@ -768,6 +774,151 @@ class TestFaultConformance:
         # refactors (worker-local caches die with their worker) but can
         # never lose factorizations.
         assert stats.misses >= part.nprocs or stats.hits > 0
+
+
+class TestDelayDropConformance:
+    """Delays and dropped replies are real on every backend.
+
+    A dropped reply is re-requested and a delay only stalls dispatch,
+    so iterates stay bit-identical to the fault-free inline run, and
+    the counters are exactly the injected schedule's.
+    """
+
+    def test_sync_bit_identical_with_exact_counters(self, backend):
+        A, b, part, scheme = _problem()
+        stopping = StoppingCriterion(tolerance=1e-300, max_iterations=8)
+        ref = multisplitting_iterate(
+            A, b, part, scheme, get_solver("scipy"), stopping=stopping
+        )
+        injector = FaultInjector(
+            seed=3, delay_rounds=(1, 4), drop_rounds=(2, 5, 6),
+            delay_seconds=0.001,
+        )
+        chaos = ChaosExecutor(_make_executor(backend), injector)
+        try:
+            res = multisplitting_iterate(
+                A, b, part, scheme, get_solver("scipy"),
+                stopping=stopping, executor=chaos,
+            )
+        finally:
+            chaos.close()
+        assert res.history == ref.history
+        np.testing.assert_array_equal(res.x, ref.x)
+        fault = res.fault_stats
+        assert fault.delays_injected == 2
+        assert fault.replies_dropped == 3
+        assert fault.workers_lost == fault.blocks_requeued == 0
+        assert [(ev.kind, ev.round) for ev in injector.log] == [
+            ("delay", 1), ("drop", 2), ("delay", 4), ("drop", 5), ("drop", 6),
+        ]
+
+    def test_chaotic_seeded_rates_bit_identical(self, backend):
+        """Seeded rates: the counters are the log's, the iterates inline's."""
+        A, b, part, scheme = _problem()
+        stopping = StoppingCriterion(tolerance=1e-300, max_iterations=12)
+        ref = chaotic_iterate(
+            A, b, part, scheme, get_solver("scipy"), stopping=stopping, seed=2
+        )
+        injector = FaultInjector(
+            seed=8, delay_rate=0.3, drop_rate=0.4, delay_seconds=0.001
+        )
+        chaos = ChaosExecutor(_make_executor(backend), injector)
+        try:
+            res = chaotic_iterate(
+                A, b, part, scheme, get_solver("scipy"),
+                stopping=stopping, seed=2, executor=chaos,
+            )
+        finally:
+            chaos.close()
+        assert res.history == ref.history
+        np.testing.assert_array_equal(res.x, ref.x)
+        kinds = [ev.kind for ev in injector.log]
+        assert res.fault_stats.delays_injected == kinds.count("delay") > 0
+        assert res.fault_stats.replies_dropped == kinds.count("drop") > 0
+        assert res.fault_stats.workers_lost == 0
+
+
+class TestMinimalDelegatingExecutor:
+    """The smallest wrapper the contract admits runs every driver.
+
+    A wrapper that forwards only the binding, the solves and the
+    counters -- no membership verb, the shape of the performance
+    ledger's tracing wrapper -- must run both drivers and the facade,
+    with ``elastic`` off and on, bit-identical to inline: no run path
+    may call a membership verb on an executor without a fleet.
+    """
+
+    class _Delegating(Executor):
+        name = "delegating"
+
+        def __init__(self):
+            self.inner = get_executor("inline")
+
+        def attach(self, A, b, sets, solver, *, cache=None, placement=None,
+                   fault_policy=None):
+            self.inner.attach(
+                A, b, sets, solver,
+                cache=cache, placement=placement, fault_policy=fault_policy,
+            )
+
+        def detach(self):
+            self.inner.detach()
+
+        def solve_blocks(self, tasks):
+            return self.inner.solve_blocks(tasks)
+
+        def map(self, fn, items):
+            return self.inner.map(fn, items)
+
+        def block_seconds(self):
+            return self.inner.block_seconds()
+
+        def run_cache_stats(self):
+            return self.inner.run_cache_stats()
+
+        def fault_stats(self):
+            return self.inner.fault_stats()
+
+        def wire_stats(self):
+            return self.inner.wire_stats()
+
+    @pytest.mark.parametrize("elastic", [None, True])
+    def test_drivers_bit_identical(self, elastic):
+        A, b, part, scheme = _problem()
+        stopping = StoppingCriterion(tolerance=1e-300, max_iterations=6)
+        for driver, extra in (
+            (multisplitting_iterate, {}), (chaotic_iterate, {"seed": 4}),
+        ):
+            ref = driver(
+                A, b, part, scheme, get_solver("scipy"), stopping=stopping,
+                **extra,
+            )
+            ex = self._Delegating()
+            try:
+                res = driver(
+                    A, b, part, scheme, get_solver("scipy"), stopping=stopping,
+                    executor=ex, elastic=elastic, **extra,
+                )
+            finally:
+                ex.close()
+            assert res.history == ref.history
+            np.testing.assert_array_equal(res.x, ref.x)
+
+    @pytest.mark.parametrize("elastic", [None, True])
+    def test_facade_bit_identical(self, elastic):
+        from repro.core.solver import MultisplittingSolver
+
+        A, b, _, _ = _problem()
+        ref = MultisplittingSolver(4, mode="sequential").solve(A, b)
+        ex = self._Delegating()
+        try:
+            res = MultisplittingSolver(
+                4, mode="sequential", backend=ex, elastic=elastic
+            ).solve(A, b)
+        finally:
+            ex.close()
+        assert res.history == ref.history
+        np.testing.assert_array_equal(res.x, ref.x)
 
 
 class TestInvariantConformance:

@@ -301,9 +301,14 @@ class _HandicappedInline(InlineExecutor):
     def __init__(self, factors):
         super().__init__()
         self.factors = factors
+        self.plan = None
+
+    def attach(self, *args, placement=None, **kwargs):
+        super().attach(*args, placement=placement, **kwargs)
+        self.plan = placement  # the executor keeps no copy of its own
 
     def _timed_solve(self, l, z):
-        worker = self._placement.assignment[l] if self._placement else l
+        worker = self.plan.assignment[l] if self.plan else l
         total = 0.0
         for _ in range(self.factors[worker]):
             piece, dt = super()._timed_solve(l, z)
@@ -322,9 +327,14 @@ class _HandicappedThreads(ThreadExecutor):
     def __init__(self, factors):
         super().__init__(max_workers=min(len(factors), os.cpu_count() or 1))
         self.factors = factors
+        self.plan = None
+
+    def attach(self, *args, placement=None, **kwargs):
+        super().attach(*args, placement=placement, **kwargs)
+        self.plan = placement  # the executor keeps no copy of its own
 
     def _timed_solve(self, l, z):
-        worker = self._placement.assignment[l] if self._placement else l
+        worker = self.plan.assignment[l] if self.plan else l
         total = 0.0
         for _ in range(self.factors[worker]):
             piece, dt = super()._timed_solve(l, z)
